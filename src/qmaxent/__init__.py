@@ -67,7 +67,6 @@ from .maxent import (
 from .geometry import (
     OneForm,
     TangentDecomposition,
-    TangentVector,
     assemble_tangent,
     line_element,
     lower_vector,
@@ -117,7 +116,6 @@ __all__ = [
     "StepInvalid",
     "SupportViolation",
     "TangentDecomposition",
-    "TangentVector",
     "TraceNotOne",
     "apply_spectral_function",
     "assemble_tangent",

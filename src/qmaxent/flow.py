@@ -13,8 +13,8 @@ whose solution through rho0 has the closed symmetric-exponential form
 This module provides the vector field, a fixed-step classical 4th-order
 integrator (the closed form serves as its exact oracle, so the integrator
 deliberately stays simple: no adaptivity, no trace renormalization), the
-closed form itself, and root-finding along the closed form to hit a target
-expectation value.
+closed form itself, and bracketed root-finding (Illinois regula falsi)
+along the closed form to hit a target expectation value.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DimMismatch,
@@ -35,8 +34,11 @@ from .errors import (
 )
 from .geometry import raise_form, zero_mean_form
 from .operators import (
+    EXP_ARGUMENT_LIMIT,
     DensityOperator,
     HermitianOperator,
+    _tilt,
+    _tilt_support,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -52,8 +54,6 @@ __all__ = [
 ]
 
 POSITIVITY_LOSS_TOL = 1e-8
-EXPONENT_LIMIT = 700.0
-SUPPORT_FLOOR = 1e-14
 MAX_STORED_SAMPLES = 1000
 
 
@@ -164,18 +164,12 @@ def closed_form_flow(
         return start
     dec = eig_hermitian(observable)
     radius = float(np.abs(dec.eigenvalues).max())
-    if abs(lam) * radius > EXPONENT_LIMIT:
+    if abs(lam) * radius > EXP_ARGUMENT_LIMIT:
         raise Overflow(
             f"|lam| * spectral_radius = {abs(lam) * radius:.6g} exceeds the "
-            f"exponent guard {EXPONENT_LIMIT:.0f}"
+            f"exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
         )
-    expo = -0.5 * lam * dec.eigenvalues
-    half = (dec.eigenvectors * np.exp(expo - expo.max())) @ dec.eigenvectors.conj().T
-    out = half @ start.entries @ half
-    trace = float(np.trace(out).real)
-    if not np.isfinite(trace) or trace <= 0.0:
-        raise Overflow("tilt exponent too large: normalization underflowed")
-    return DensityOperator(hermitian_part(out) / trace)
+    return _tilt(start, dec, lam)
 
 
 def flow_to_constraint(
@@ -190,9 +184,11 @@ def flow_to_constraint(
 
     Returns (lam, state) with |tr(state A) - target| <= tol.  The mean is
     strictly decreasing along the flow, so the crossing parameter is
-    bracketed by doubling and then isolated with Brent's method on the
-    matrix-valued closed form.  This is an independent route to the same
-    state as the variational single-constraint tilt.
+    bracketed by doubling and then isolated by the Illinois variant of
+    regula falsi (Dowell & Jarratt, BIT 11 (1971) 168) on the matrix-valued
+    closed form; A is diagonalized once.  ``max_iter`` bounds the
+    root-finding steps after bracketing.  This is an independent route to
+    the same state as the variational single-constraint tilt.
     """
     if start.dim != observable.dim:
         raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
@@ -201,62 +197,41 @@ def flow_to_constraint(
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
     dec = eig_hermitian(observable)
-    diag = np.einsum(
-        "ij,jk,ki->i", dec.eigenvectors.conj().T, start.entries, dec.eigenvectors
-    ).real
-    d = np.maximum(diag, 0.0)
-    support = d > SUPPORT_FLOOR
-    a_s = dec.eigenvalues[support]
-    lo, hi = float(a_s.min()), float(a_s.max())
-    if hi - lo <= SUPPORT_FLOOR * max(1.0, abs(hi)):
-        if abs(target - lo) <= tol:
-            return 0.0, start
-        raise Infeasible(
-            f"observable is constant ({lo!r}) on the state's support; "
-            f"target {target!r} unreachable"
-        )
-    if not (lo < target < hi):
-        raise Infeasible(
-            f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
-        )
-
-    def offset(lam: float) -> float:
-        return expectation(closed_form_flow(start, observable, lam), observable) - target
-
-    f0 = offset(0.0)
+    if _tilt_support(start, dec, target, tol, "state") is None:
+        return 0.0, start
+    f0 = expectation(start, observable) - target
     if abs(f0) <= tol:
         return 0.0, start
 
-    radius = float(np.abs(dec.eigenvalues).max())
-    cap = (EXPONENT_LIMIT - 50.0) / radius
-    if f0 > 0.0:
-        left, right = 0.0, 1.0
-        while right <= cap and offset(right) > 0.0:
-            left = right
-            right *= 2.0
-        if right > cap:
-            raise Infeasible(f"target {target!r} numerically at the boundary")
-    else:
-        left, right = -1.0, 0.0
-        while left >= -cap and offset(left) < 0.0:
-            right = left
-            left *= 2.0
-        if left < -cap:
-            raise Infeasible(f"target {target!r} numerically at the boundary")
+    def offset(lam: float) -> tuple[float, DensityOperator]:
+        state = _tilt(start, dec, lam)
+        return expectation(state, observable) - target, state
 
-    root, info = brentq(
-        offset,
-        left,
-        right,
-        xtol=1e-15,
-        rtol=4.0 * np.finfo(float).eps,
-        maxiter=max_iter,
-        full_output=True,
-        disp=False,
-    )
-    state = closed_form_flow(start, observable, float(root))
-    if not info.converged or abs(expectation(state, observable) - target) > tol:
+    # double away from 0 on the side where the mean moves toward the target
+    cap = (EXP_ARGUMENT_LIMIT - 50.0) / float(np.abs(dec.eigenvalues).max())
+    a, fa, b = 0.0, f0, 1.0 if f0 > 0.0 else -1.0
+    while True:
+        if abs(b) > cap:
+            raise Infeasible(f"target {target!r} numerically at the boundary")
+        fb, state = offset(b)
+        if fb * f0 <= 0.0:
+            break
+        a, fa, b = b, fb, 2.0 * b
+
+    # regula falsi between a and b that halves the value kept at a whenever
+    # the new point lands on b's side again, so neither end stalls
+    for _ in range(max_iter):
+        if abs(fb) <= tol:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        fc, state = offset(c)
+        if fc * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+    if abs(fb) > tol:
         raise MaxIterExceeded(
             f"root finding did not reach tolerance {tol!r} in {max_iter} iterations"
         )
-    return float(root), state
+    return float(b), state

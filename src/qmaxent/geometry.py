@@ -40,7 +40,6 @@ from .operators import (
 __all__ = [
     "FULL_RANK_FLOOR",
     "OneForm",
-    "TangentVector",
     "TangentDecomposition",
     "pair",
     "raise_form",
@@ -61,23 +60,6 @@ class OneForm:
     """A covariant direction: just an observable acting by tr(F rho)."""
 
     value: HermitianOperator
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """A traceless Hermitian operator attached to a base state."""
-
-    at: DensityOperator
-    value: HermitianOperator
-
-    def __post_init__(self) -> None:
-        if self.at.dim != self.value.dim:
-            raise DimMismatch(
-                f"base dim {self.at.dim} != value dim {self.value.dim}"
-            )
-        trace = abs(complex(np.trace(self.value.entries)))
-        if trace > TRACELESS_TOL:
-            raise NotTraceless(f"tangent vector has trace {trace:.3e}")
 
 
 @dataclass(frozen=True, eq=False)

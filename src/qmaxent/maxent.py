@@ -44,8 +44,11 @@ from .errors import (
     Overflow,
 )
 from .operators import (
+    EXP_ARGUMENT_LIMIT,
     DensityOperator,
     HermitianOperator,
+    _tilt,
+    _tilt_support,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -64,12 +67,10 @@ __all__ = [
     "classical_gibbs_oracle",
 ]
 
-SPECTRAL_RADIUS_LIMIT = 700.0
 MULTIPLIER_CAP = 1e4
 GRAM_CONDITION_LIMIT = 1e12
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
-SUPPORT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +83,9 @@ class ConstraintSet:
     are numerically independent (Gram condition number at most 1e12);
     dependent constraints would make the multipliers non-unique and are
     rejected rather than regularized.  ``dim`` may be given explicitly,
-    which is required when there are no observables at all.
+    which is required when there are no observables at all.  A target on
+    the boundary of its spectral range is accepted here and refused by
+    ``solve_maxent``.
     """
 
     observables: tuple[HermitianOperator, ...]
@@ -106,6 +109,7 @@ class ConstraintSet:
                 raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
         if dim is None:
             raise DimMismatch("dimension required when no observables are given")
+        boundary = None
         for a, t in zip(observables, targets):
             w = np.linalg.eigvalsh(a.entries)
             if not (w[0] <= t <= w[-1]):
@@ -113,22 +117,27 @@ class ConstraintSet:
                     f"target {float(t)!r} outside the spectral range "
                     f"[{float(w[0])!r}, {float(w[-1])!r}]"
                 )
+            if boundary is None and not (w[0] < t < w[-1]):
+                boundary = (
+                    f"target {float(t)!r} on the boundary of the spectral range "
+                    f"[{float(w[0])!r}, {float(w[-1])!r}]; the multiplier would diverge"
+                )
         if observables:
             self._check_independent(observables, dim)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
+        # the first boundary target's refusal, raised by solve_maxent
+        object.__setattr__(self, "_boundary", boundary)
 
     @staticmethod
     def _check_independent(observables: tuple[HermitianOperator, ...], dim: int) -> None:
-        traceless = [
-            a.entries - (np.trace(a.entries).real / dim) * np.eye(dim)
-            for a in observables
-        ]
-        gram = np.array(
-            [[np.trace(x @ y).real for y in traceless] for x in traceless]
-        )
+        stacked = _stacked_entries(observables)
+        means = np.trace(stacked, axis1=1, axis2=2).real / dim
+        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(observables), -1)
+        # tr(X Y) = sum_ij X_ij conj(Y_ij) for Hermitian Y
+        gram = (flat @ flat.conj().T).real
         s = np.linalg.eigvalsh(gram)
         if s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT:
             raise DependentConstraints(
@@ -197,10 +206,10 @@ def _softmax_state(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _guard_radius(w: np.ndarray) -> None:
     radius = float(np.abs(w).max())
-    if radius > SPECTRAL_RADIUS_LIMIT:
+    if radius > EXP_ARGUMENT_LIMIT:
         raise Overflow(
             f"spectral radius {radius:.6g} of the multiplier aggregate exceeds "
-            f"the exponent guard {SPECTRAL_RADIUS_LIMIT:.0f}"
+            f"the exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
         )
 
 
@@ -248,16 +257,6 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     return value, gradient
 
 
-def _strict_interior_check(constraints: ConstraintSet) -> None:
-    for a, t in zip(constraints.observables, constraints.targets):
-        w = np.linalg.eigvalsh(a.entries)
-        if not (w[0] < t < w[-1]):
-            raise Infeasible(
-                f"target {float(t)!r} on the boundary of the spectral range "
-                f"[{float(w[0])!r}, {float(w[-1])!r}]; the multiplier would diverge"
-            )
-
-
 def solve_maxent(
     constraints: ConstraintSet, *, tol: float = 1e-10, max_iter: int = 500
 ) -> MaxEntSolution:
@@ -287,7 +286,8 @@ def solve_maxent(
             iterations=0,
             residual=0.0,
         )
-    _strict_interior_check(constraints)
+    if constraints._boundary is not None:
+        raise Infeasible(constraints._boundary)
     stacked = _stacked_entries(constraints.observables)
     targets = constraints.targets
 
@@ -396,19 +396,6 @@ def _tilted_mean_var(lam: float, a: np.ndarray, d: np.ndarray) -> tuple[float, f
     return mean, var
 
 
-def _symmetric_tilt(
-    prior: DensityOperator, a: np.ndarray, v: np.ndarray, lam: float
-) -> DensityOperator:
-    """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem."""
-    expo = -0.5 * lam * a
-    half = (v * np.exp(expo - expo.max())) @ v.conj().T
-    out = half @ prior.entries @ half
-    trace = float(np.trace(out).real)
-    if not np.isfinite(trace) or trace <= 0.0:
-        raise Overflow("tilt exponent too large: normalization underflowed")
-    return DensityOperator(hermitian_part(out) / trace)
-
-
 def solve_prior_tilt(
     prior: DensityOperator,
     observable: HermitianOperator,
@@ -434,26 +421,10 @@ def solve_prior_tilt(
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
     dec = eig_hermitian(observable)
-    diag = np.einsum(
-        "ij,jk,ki->i", dec.eigenvectors.conj().T, prior.entries, dec.eigenvectors
-    ).real
-    d = np.maximum(diag, 0.0)
-    support = d > SUPPORT_FLOOR
-    a_s = dec.eigenvalues[support]
-    d_s = d[support]
-    lo, hi = float(a_s.min()), float(a_s.max())
-    if hi - lo <= SUPPORT_FLOOR * max(1.0, abs(hi)):
-        # observable is constant on the prior's support: the mean never moves
-        if abs(target - lo) <= tol:
-            return 0.0, prior
-        raise Infeasible(
-            f"observable is constant ({lo!r}) on the prior's support; "
-            f"target {target!r} unreachable"
-        )
-    if not (lo < target < hi):
-        raise Infeasible(
-            f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
-        )
+    support = _tilt_support(prior, dec, target, tol, "prior")
+    if support is None:
+        return 0.0, prior
+    a_s, d_s = support
 
     mean0, _ = _tilted_mean_var(0.0, a_s, d_s)
     if abs(mean0 - target) <= tol:
@@ -480,7 +451,7 @@ def solve_prior_tilt(
         mean, var = _tilted_mean_var(x, a_s, d_s)
         fx = mean - target
         if abs(fx) <= tol:
-            return float(x), _symmetric_tilt(prior, dec.eigenvalues, dec.eigenvectors, x)
+            return float(x), _tilt(prior, dec, x)
         if fx > 0.0:
             xlo = x
         else:

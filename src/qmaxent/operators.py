@@ -20,6 +20,7 @@ from .errors import (
     ConvergenceFailure,
     DimMismatch,
     DomainError,
+    Infeasible,
     InputValidationError,
     NonRealResult,
     NonSquare,
@@ -58,6 +59,9 @@ IMAG_TOL = 1e-12
 
 # exp(x) overflows double precision just above x = 709.
 EXP_ARGUMENT_LIMIT = 700.0
+# Weights of a state in an observable's eigenbasis at or below this floor lie
+# outside the state's support.
+SUPPORT_FLOOR = 1e-14
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
@@ -182,6 +186,53 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
     v = dec.eigenvectors
     out = (v * values) @ v.conj().T
     return HermitianOperator(hermitian_part(out))
+
+
+def _tilt(start: DensityOperator, dec: SpectralDecomposition, lam: float) -> DensityOperator:
+    """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem.
+
+    The exponent is shifted by its maximum, so only the normalization can
+    fail, by underflow, which raises Overflow.
+    """
+    expo = -0.5 * lam * dec.eigenvalues
+    half = (dec.eigenvectors * np.exp(expo - expo.max())) @ dec.eigenvectors.conj().T
+    out = half @ start.entries @ half
+    trace = float(np.trace(out).real)
+    if not np.isfinite(trace) or trace <= 0.0:
+        raise Overflow("tilt exponent too large: normalization underflowed")
+    return DensityOperator(hermitian_part(out) / trace)
+
+
+def _tilt_support(
+    start: DensityOperator, dec: SpectralDecomposition, target: float, tol: float, role: str
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues of A on the support of ``start`` and the weights ``start`` gives them.
+
+    Tilting keeps the mean strictly inside the interval these eigenvalues
+    span, so a target outside it raises Infeasible.  Returns None when A is
+    constant on the support and ``target`` already equals that constant.
+    ``role`` names the state in error messages.
+    """
+    diag = np.einsum(
+        "ij,jk,ki->i", dec.eigenvectors.conj().T, start.entries, dec.eigenvectors
+    ).real
+    d = np.maximum(diag, 0.0)
+    support = d > SUPPORT_FLOOR
+    a_s = dec.eigenvalues[support]
+    lo, hi = float(a_s.min()), float(a_s.max())
+    if hi - lo <= SUPPORT_FLOOR * max(1.0, abs(hi)):
+        # observable is constant on the support: the mean never moves
+        if abs(target - lo) <= tol:
+            return None
+        raise Infeasible(
+            f"observable is constant ({lo!r}) on the {role}'s support; "
+            f"target {target!r} unreachable"
+        )
+    if not (lo < target < hi):
+        raise Infeasible(
+            f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
+        )
+    return a_s, d[support]
 
 
 def _checked_real(value: complex, what: str, tol: float = IMAG_TOL) -> float:

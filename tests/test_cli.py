@@ -8,6 +8,8 @@ import pytest
 
 from qmaxent.cli import run
 
+from helpers import run_python
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -54,6 +56,13 @@ class TestEstimate:
         assert out == ""
         result = json.loads(target.read_text())
         assert result["multipliers"][0] == pytest.approx(-np.log(2.0), abs=1e-8)
+
+
+class TestLauncher:
+    def test_module_entry_point(self):
+        proc = run_python("-m", "qmaxent.cli", "estimate", "--problem", fixture("qubit_xz.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["residual"] <= 1e-10
 
 
 class TestEntropy:

@@ -5,6 +5,7 @@ import pytest
 
 from qmaxent import (
     Infeasible,
+    MaxIterExceeded,
     PositivityLoss,
     StepInvalid,
     closed_form_flow,
@@ -212,6 +213,23 @@ class TestFlowToConstraint:
         with pytest.raises(Infeasible):
             flow_to_constraint(UNIFORM, SZ, 1.0)
 
+    def test_iteration_limit(self, rng):
+        prior = rand_density(rng, 4, min_eig=0.05)
+        a = rand_hermitian_radius(rng, 4, 1.0)
+        target = expectation(closed_form_flow(prior, a, 1.3), a)
+        with pytest.raises(MaxIterExceeded):
+            flow_to_constraint(prior, a, target, tol=1e-13, max_iter=1)
+        lam, _ = flow_to_constraint(prior, a, target, tol=1e-13)
+        assert lam == pytest.approx(1.3, abs=1e-9)
+
+    def test_one_eigendecomposition_per_call(self, rng, eig_calls):
+        prior = rand_density(rng, 4, min_eig=0.05)
+        a = rand_hermitian_radius(rng, 4, 1.0)
+        target = expectation(closed_form_flow(prior, a, -0.8), a)
+        eig_calls.clear()
+        flow_to_constraint(prior, a, target, tol=1e-13)
+        assert eig_calls["eigh"] == 1
+
     def test_agrees_with_variational_tilt(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 9))
@@ -220,6 +238,7 @@ class TestFlowToConstraint:
             lam_true = float(rng.uniform(0.2, 2.0)) * (1 if rng.random() < 0.5 else -1)
             target = expectation(closed_form_flow(prior, a, lam_true), a)
             lam_v, state_v = solve_prior_tilt(prior, a, target, tol=1e-13)
-            lam_g, state_g = flow_to_constraint(prior, a, target, tol=1e-13)
+            # plain regula falsi, which keeps one end fixed, needs ~30 steps here
+            lam_g, state_g = flow_to_constraint(prior, a, target, tol=1e-13, max_iter=12)
             assert trace_distance(state_v, state_g) <= 1e-10
             assert abs(lam_v - lam_g) <= 1e-9

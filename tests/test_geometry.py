@@ -9,7 +9,6 @@ from qmaxent import (
     OneForm,
     SingularBase,
     TangentDecomposition,
-    TangentVector,
     assemble_tangent,
     line_element,
     lower_vector,
@@ -31,11 +30,6 @@ DIAG82 = make_density(np.diag([0.8, 0.2]))
 
 
 class TestTypes:
-    def test_tangent_vector_must_be_traceless(self):
-        with pytest.raises(NotTraceless):
-            TangentVector(at=UNIFORM, value=make_hermitian(np.eye(2)))
-        TangentVector(at=UNIFORM, value=SZ)
-
     def test_decomposition_shifts_must_balance(self):
         with pytest.raises(NotTraceless):
             TangentDecomposition(dp=[0.1, 0.0], dtheta=0.0, h=SX)

@@ -25,6 +25,7 @@ from qmaxent import (
 
 from helpers import (
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     bloch_feasible_max_entropy,
     rand_density,
@@ -68,10 +69,24 @@ class TestConstraintSet:
         doubled = make_hermitian(2.0 * SIGMA_Z)
         with pytest.raises(DependentConstraints):
             ConstraintSet((SZ, doubled), [0.1, 0.2])
+        # complex entries and non-commuting pairs exercise the Gram contraction
+        sy = make_hermitian(SIGMA_Y)
+        nearly = make_hermitian(2.0 * SIGMA_Y + 1e-15 * SIGMA_X)
+        with pytest.raises(DependentConstraints):
+            ConstraintSet((sy, nearly), [0.1, 0.2])
+        assert ConstraintSet((SX, sy, SZ), [0.1, 0.2, 0.3]).m == 3
 
     def test_identity_observable_rejected(self):
         with pytest.raises(DependentConstraints):
             ConstraintSet((make_hermitian(np.eye(2)),), [1.0])
+
+    def test_one_eigvalsh_per_observable_plus_gram(self, rng, eig_calls):
+        observables = tuple(rand_hermitian(rng, 4) for _ in range(3))
+        interior = rand_density(rng, 4, min_eig=0.05)
+        targets = [expectation(interior, a) for a in observables]
+        eig_calls.clear()
+        ConstraintSet(observables, targets)
+        assert eig_calls == {"eigvalsh": 4}
 
     def test_empty_needs_dim(self):
         with pytest.raises(DimMismatch):
@@ -162,6 +177,18 @@ class TestSolveMaxEnt:
         assert sol.multipliers[1] == pytest.approx(-ARTANH_HALF * 0.8, abs=1e-8)
         expected = make_density((np.eye(2) + 0.3 * SIGMA_X + 0.4 * SIGMA_Z) / 2)
         assert trace_distance(sol.estimate, expected) <= 1e-8
+
+    def test_no_eigvalsh_per_observable(self, rng, eig_calls):
+        interior = rand_density(rng, 4, min_eig=0.05)
+        counts = []
+        for m in (1, 3):
+            observables = tuple(rand_hermitian(rng, 4) for _ in range(m))
+            constraints = ConstraintSet(observables, [expectation(interior, a) for a in observables])
+            eig_calls.clear()
+            solve_maxent(constraints)
+            counts.append(eig_calls["eigvalsh"])
+        # the estimate's positivity check and its entropy, whatever m is
+        assert counts == [2, 2]
 
     def test_boundary_target_infeasible(self):
         with pytest.raises(Infeasible):
