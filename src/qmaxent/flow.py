@@ -153,8 +153,8 @@ def closed_form_flow(
 ) -> DensityOperator:
     """The exact flow state exp(-lam A/2) rho0 exp(-lam A/2), normalized.
 
-    lam = 0 returns ``start`` unchanged.  The exponent guard rejects
-    |lam| * spectral_radius(A) > 700.
+    lam = 0 returns ``start`` unchanged.  The kernel shifts the exponent of
+    exp(-lam A/2) by its maximum, so the guard rejects |lam| (a_max - a_min)/2 > 700.
     """
     if start.dim != observable.dim:
         raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
@@ -163,10 +163,10 @@ def closed_form_flow(
     if lam == 0.0:
         return start
     dec = eig_hermitian(observable)
-    radius = float(np.abs(dec.eigenvalues).max())
-    if abs(lam) * radius > EXP_ARGUMENT_LIMIT:
+    span = 0.5 * abs(lam) * float(np.ptp(dec.eigenvalues))
+    if span > EXP_ARGUMENT_LIMIT:
         raise Overflow(
-            f"|lam| * spectral_radius = {abs(lam) * radius:.6g} exceeds the "
+            f"|lam| * (a_max - a_min) / 2 = {span:.6g} exceeds the "
             f"exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
         )
     return _tilt(start, dec, lam)
@@ -208,7 +208,7 @@ def flow_to_constraint(
         return expectation(state, observable) - target, state
 
     # double away from 0 on the side where the mean moves toward the target
-    cap = (EXP_ARGUMENT_LIMIT - 50.0) / float(np.abs(dec.eigenvalues).max())
+    cap = (EXP_ARGUMENT_LIMIT - 50.0) / (0.5 * float(np.ptp(dec.eigenvalues)))
     a, fa, b = 0.0, f0, 1.0 if f0 > 0.0 else -1.0
     while True:
         if abs(b) > cap:

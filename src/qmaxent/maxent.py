@@ -11,8 +11,10 @@ and the multipliers are the unique minimizer of the smooth convex dual
 
 whose gradient is t_j - <A_j>_{rho(lam)}.  ``solve_maxent`` minimizes the
 dual with a quasi-Newton (BFGS) iteration and Armijo backtracking,
-starting from lam = 0 (the uniform state); the gradient is exact even for
-non-commuting observables, so no second-derivative machinery is needed.
+starting from lam = 0 (the uniform state).  The dual's Hessian is the
+Kubo-Mori metric at rho(lam); at I/n that is tr(A~_j A~_k)/n with A~ the
+traceless part, i.e. Gram/n, so BFGS starts from n Gram^-1, the exact
+inverse Hessian there, and Hessian resets return to it.
 
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
@@ -50,7 +52,6 @@ from .operators import (
     _tilt,
     _tilt_support,
     eig_hermitian,
-    expectation,
     hermitian_part,
 )
 from .entropy import von_neumann_entropy
@@ -122,20 +123,25 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range "
                     f"[{float(w[0])!r}, {float(w[-1])!r}]; the multiplier would diverge"
                 )
+        stacked = gram = None
         if observables:
-            self._check_independent(observables, dim)
+            stacked = np.stack([a.entries for a in observables])
+            stacked.setflags(write=False)
+            gram = self._check_independent(stacked, dim)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
         # the first boundary target's refusal, raised by solve_maxent
         object.__setattr__(self, "_boundary", boundary)
+        # the stacked entries and the traceless parts' Gram matrix, for solve_maxent
+        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_gram", gram)
 
     @staticmethod
-    def _check_independent(observables: tuple[HermitianOperator, ...], dim: int) -> None:
-        stacked = _stacked_entries(observables)
+    def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
         means = np.trace(stacked, axis1=1, axis2=2).real / dim
-        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(observables), -1)
+        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(stacked), -1)
         # tr(X Y) = sum_ij X_ij conj(Y_ij) for Hermitian Y
         gram = (flat @ flat.conj().T).real
         s = np.linalg.eigvalsh(gram)
@@ -144,6 +150,7 @@ class ConstraintSet:
                 "constraint observables are linearly dependent "
                 "(Gram condition number above 1e12); multipliers would not be unique"
             )
+        return gram
 
     @property
     def m(self) -> int:
@@ -167,10 +174,6 @@ class MaxEntSolution:
     residual: float
 
 
-def _stacked_entries(observables) -> np.ndarray:
-    return np.stack([a.entries for a in observables])
-
-
 def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
     lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
     if lam.ndim != 1 or lam.size != len(observables):
@@ -185,7 +188,7 @@ def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
     for a in observables[1:]:
         if a.dim != dim:
             raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
-    return lam, _stacked_entries(observables)
+    return lam, np.stack([a.entries for a in observables])
 
 
 def _eig_aggregate(lam: np.ndarray, stacked: np.ndarray):
@@ -232,12 +235,10 @@ def gibbs_state(multipliers, observables) -> DensityOperator:
 def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
     """Dual value, gradient, canonical state, and aggregate spectrum at ``lam``."""
     w, v = _eig_aggregate(lam, stacked)
-    u = -w
-    shift = u.max()
-    z = np.exp(u - shift).sum()
-    value = float(shift + np.log(z) + lam @ targets)
+    value = float(np.logaddexp.reduce(-w) + lam @ targets)
     state = _softmax_state(w, v)
-    achieved = np.einsum("ij,kji->k", state, stacked).real
+    # tr(rho A_k) = sum_ij (A_k)_ij conj(rho_ij) for Hermitian rho
+    achieved = (stacked.reshape(len(stacked), -1) @ state.conj().ravel()).real
     return value, targets - achieved, state, w
 
 
@@ -263,11 +264,13 @@ def solve_maxent(
     """Solve for the entropy-maximizing state subject to the constraints.
 
     Minimizes the convex dual by BFGS with Armijo backtracking (shrink 0.5,
-    slope 1e-4) from lam = 0.  Convergence means the largest constraint
-    violation is at most ``tol``.  Targets on or outside the boundary of
-    the achievable set are reported as Infeasible, either up front (target
-    on the spectral boundary) or when the multiplier norm passes 1e4 with a
-    non-vanishing gradient (jointly unreachable targets).
+    slope 1e-4) from lam = 0 and n Gram^-1, the exact inverse Hessian of the
+    dual there; a non-descent direction resets the inverse Hessian to it.
+    Convergence means the largest constraint violation is at most ``tol``.
+    Targets on or outside the boundary of the achievable set are reported as
+    Infeasible, either up front (target on the spectral boundary) or when the
+    multiplier norm passes 1e4 with a non-vanishing gradient (jointly
+    unreachable targets).
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
@@ -288,12 +291,11 @@ def solve_maxent(
         )
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    stacked = _stacked_entries(constraints.observables)
-    targets = constraints.targets
+    stacked, targets = constraints._stacked, constraints.targets
 
     lam = np.zeros(constraints.m)
-    hinv = np.eye(constraints.m)
-    value, gradient, _, _ = _dual_point(lam, stacked, targets)
+    hinv = hinv0 = n * np.linalg.inv(constraints._gram)
+    value, gradient, state, w = _dual_point(lam, stacked, targets)
     iterations = 0
     converged = abs(gradient).max() <= tol
     while not converged:
@@ -310,16 +312,16 @@ def solve_maxent(
         direction = -hinv @ gradient
         slope = float(gradient @ direction)
         if slope >= 0.0:
-            hinv = np.eye(constraints.m)
-            direction = -gradient
-            slope = -float(gradient @ gradient)
+            hinv = hinv0
+            direction = -hinv0 @ gradient
+            slope = float(gradient @ direction)
         # small cushion absorbs ties at the resolution of the dual value
         cushion = 1e-14 * max(1.0, abs(value))
         t = 1.0
         while True:
             trial = lam + t * direction
-            trial_value, trial_gradient, _, _ = _dual_point(trial, stacked, targets)
-            if trial_value <= value + ARMIJO_SLOPE * t * slope + cushion:
+            point = _dual_point(trial, stacked, targets)  # value, gradient, state, w
+            if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion:
                 break
             t *= ARMIJO_SHRINK
             if t < 1e-20:
@@ -327,7 +329,7 @@ def solve_maxent(
                     "line search stalled before reaching the requested tolerance"
                 )
         step = trial - lam
-        change = trial_gradient - gradient
+        change = point[1] - gradient
         curvature = float(step @ change)
         if curvature > 1e-14 * np.linalg.norm(step) * np.linalg.norm(change):
             rho = 1.0 / curvature
@@ -335,16 +337,14 @@ def solve_maxent(
             hinv = (np.eye(constraints.m) - rho * outer) @ hinv @ (
                 np.eye(constraints.m) - rho * outer.T
             ) + rho * np.outer(step, step)
-        lam, value, gradient = trial, trial_value, trial_gradient
+        lam, (value, gradient, state, w) = trial, point
         iterations += 1
         converged = abs(gradient).max() <= tol
 
-    w, v = _eig_aggregate(lam, stacked)
     lambda0 = float(np.logaddexp.reduce(-w))
-    estimate = DensityOperator(_softmax_state(w, v))
-    achieved = np.array([expectation(estimate, a) for a in constraints.observables])
-    residual = float(abs(achieved - targets).max())
-    lam = lam.copy()
+    estimate = DensityOperator(state)
+    achieved = targets - gradient
+    residual = float(abs(gradient).max())
     lam.setflags(write=False)
     achieved.setflags(write=False)
     return MaxEntSolution(

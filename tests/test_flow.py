@@ -222,6 +222,16 @@ class TestFlowToConstraint:
         lam, _ = flow_to_constraint(prior, a, target, tol=1e-13)
         assert lam == pytest.approx(1.3, abs=1e-9)
 
+    def test_offset_spectrum(self):
+        # the kernel shifts the exponent, so only the spread of A counts against the guard
+        a = make_hermitian(np.diag([1000.0, 1001.0]))
+        lam_v, state_v = solve_prior_tilt(UNIFORM, a, 1000.1)
+        lam_g, state_g = flow_to_constraint(UNIFORM, a, 1000.1)
+        assert lam_v == pytest.approx(np.log(9.0), abs=1e-9)
+        assert lam_g == pytest.approx(np.log(9.0), abs=1e-9)
+        assert trace_distance(state_v, state_g) <= 1e-10
+        assert expectation(closed_form_flow(UNIFORM, a, 2.2), a) < 1000.1
+
     def test_one_eigendecomposition_per_call(self, rng, eig_calls):
         prior = rand_density(rng, 4, min_eig=0.05)
         a = rand_hermitian_radius(rng, 4, 1.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qmaxent.maxent
 from qmaxent import (
     ConstraintSet,
     DependentConstraints,
@@ -16,11 +17,13 @@ from qmaxent import (
     gibbs_state,
     make_density,
     make_hermitian,
+    metric_forms,
     partition_function,
     solve_maxent,
     solve_prior_tilt,
     trace_distance,
     von_neumann_entropy,
+    zero_mean_form,
 )
 
 from helpers import (
@@ -51,6 +54,13 @@ def random_feasible_instance(rng, max_dim=8, max_m=6, min_eig_frac=0.3):
     interior = rand_density(rng, n, min_eig=min_eig_frac / n)
     targets = [expectation(interior, a) for a in observables]
     return ConstraintSet(observables, targets)
+
+
+def gibbs_instance(rng, n, m, scale):
+    """Unit-radius observables; targets of a Gibbs state with lam ~ N(0, scale^2)."""
+    observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
+    state = gibbs_state(rng.normal(0.0, scale, size=m), observables)
+    return ConstraintSet(observables, [expectation(state, a) for a in observables])
 
 
 class TestConstraintSet:
@@ -157,6 +167,23 @@ class TestDualObjective:
             vm, _ = dual_objective((a + b) / 2, cs)
             assert vm <= (va + vb) / 2 + 1e-12
 
+    def test_solver_start_is_the_hessian_at_zero(self, rng):
+        n, m, h = 4, 5, 1e-4
+        uniform = make_density(np.eye(n) / n)
+        observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
+        cs = ConstraintSet(observables, [expectation(uniform, a) for a in observables])
+        hinv0 = n * np.linalg.inv(cs._gram)  # the inverse Hessian solve_maxent starts from
+        hessian = np.linalg.inv(hinv0)
+        steps = np.eye(m) * h
+        fd = np.array(
+            [(dual_objective(e, cs)[1] - dual_objective(-e, cs)[1]) / (2.0 * h) for e in steps]
+        )
+        assert np.abs(fd - hessian).max() <= 1e-8
+        # at I/n the symmetric metric and the Kubo-Mori metric coincide
+        forms = [zero_mean_form(uniform, a) for a in observables]
+        metric = np.array([[metric_forms(uniform, f, g) for g in forms] for f in forms])
+        assert np.abs(metric - hessian).max() <= 1e-12
+
 
 class TestSolveMaxEnt:
     def test_unconstrained_maximum(self):
@@ -178,17 +205,51 @@ class TestSolveMaxEnt:
         expected = make_density((np.eye(2) + 0.3 * SIGMA_X + 0.4 * SIGMA_Z) / 2)
         assert trace_distance(sol.estimate, expected) <= 1e-8
 
-    def test_no_eigvalsh_per_observable(self, rng, eig_calls):
+    def test_no_eigvalsh_per_observable(self, rng, eig_calls, monkeypatch):
+        dual_point = qmaxent.maxent._dual_point
+        evaluations = []
+        monkeypatch.setattr(
+            qmaxent.maxent,
+            "_dual_point",
+            lambda *args: evaluations.append(args) or dual_point(*args),
+        )
         interior = rand_density(rng, 4, min_eig=0.05)
         counts = []
         for m in (1, 3):
             observables = tuple(rand_hermitian(rng, 4) for _ in range(m))
             constraints = ConstraintSet(observables, [expectation(interior, a) for a in observables])
             eig_calls.clear()
+            evaluations.clear()
             solve_maxent(constraints)
             counts.append(eig_calls["eigvalsh"])
+            # one eigh per dual evaluation; the estimate reuses the last accepted one
+            assert eig_calls["eigh"] == len(evaluations)
         # the estimate's positivity check and its entropy, whatever m is
         assert counts == [2, 2]
+
+    def test_iterations_at_moderate_scale(self, rng):
+        # from the identity, BFGS needs 29 or more iterations on these sizes
+        for n, m in ((8, 10), (16, 20)):
+            for _ in range(4):
+                sol = solve_maxent(gibbs_instance(rng, n, m, 0.5))
+                assert sol.iterations <= 25
+
+    def test_iterates_invariant_under_rescaling(self, rng):
+        cs = gibbs_instance(rng, 6, 8, 0.5)
+        base = solve_maxent(cs)
+        tight = solve_maxent(cs, tol=1e-13).iterations
+        solved = {}
+        for factor in (1e3, 1e-3):
+            observables, targets = list(cs.observables), cs.targets.copy()
+            observables[2] = make_hermitian(factor * observables[2].entries)
+            targets[2] *= factor
+            sol = solve_maxent(ConstraintSet(tuple(observables), targets))
+            assert sol.multipliers[2] == pytest.approx(base.multipliers[2] / factor, rel=1e-6)
+            solved[factor] = sol.iterations
+        # the iterates do not change; only the stop does, since the rescaled
+        # constraint's residual is 1e3 (1e-3) times the original one
+        assert base.iterations <= solved[1e3] <= tight
+        assert base.iterations - 1 <= solved[1e-3] <= base.iterations
 
     def test_boundary_target_infeasible(self):
         with pytest.raises(Infeasible):
