@@ -46,9 +46,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-10, help="convergence tolerance")
     p.add_argument("--max-iter", type=int, default=500, help="iteration limit")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write the result JSON here instead of stdout")
     p.add_argument("--quiet", action="store_true", help="suppress stdout")
 
@@ -62,10 +65,12 @@ def _build_parser() -> _Parser:
 
     estimate = sub.add_parser("estimate", help="solve a constrained maximum-entropy problem")
     estimate.add_argument("--problem", required=True, metavar="PATH")
+    _add_solver(estimate)
     _add_common(estimate)
 
     tilt = sub.add_parser("tilt", help="tilt a prior state to one expectation target")
     tilt.add_argument("--problem", required=True, metavar="PATH")
+    _add_solver(tilt)
     _add_common(tilt)
 
     flow = sub.add_parser("flow", help="integrate the entropic flow and emit a trajectory")
@@ -105,6 +110,8 @@ def _load_json(path: str):
 
 
 def _check_flags(args) -> None:
+    if "tol" not in args:  # only the solving subcommands take --tol and --max-iter
+        return
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise InputValidationError(f"--tol must be positive and finite, got {args.tol!r}")
     if args.max_iter < 1:

@@ -23,8 +23,9 @@ def _entropy_of_spectrum(p: np.ndarray) -> float:
     """-sum p log p with 0 log 0 = 0 over a numerically clamped spectrum."""
     q = p[p > LOG_EIGENVALUE_FLOOR]
     s = float(-(q * np.log(q)).sum())
-    # eigenvalues a hair above 1 can push the sum a hair below zero
-    return max(s, 0.0)
+    # eigenvalues a hair above 1 can push the sum a hair below zero, and a
+    # pure state sums to -0.0; both report +0.0
+    return s if s > 0.0 else 0.0
 
 
 def von_neumann_entropy(state: DensityOperator) -> float:

@@ -100,10 +100,11 @@ def integrate_flow(
 
     Classical 4th-order Runge-Kutta.  A negative ``lambda_end`` integrates
     the same equation in the opposite parameter direction.  The trace is
-    never renormalized, so trace drift measures integrator error; an
-    intermediate eigenvalue below -1e-8 raises PositivityLoss, which
-    signals a step too coarse for the problem.  Roughly every
-    ceil(n_steps/1000)-th step is recorded, plus the endpoint.
+    never renormalized, so trace drift measures integrator error.  A step
+    too coarse for the problem raises PositivityLoss: at an eigenvalue below
+    -1e-8, or at a recorded state that fails DensityOperator validation,
+    whose failed invariant it names.  Roughly every ceil(n_steps/1000)-th
+    step is recorded, plus the endpoint.
     """
     if start.dim != observable.dim:
         raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
@@ -143,7 +144,13 @@ def integrate_flow(
                 f"eigenvalue {smallest:.3e} at lambda {lam_k:.6g}; reduce the step"
             )
         if k == n_steps or k % record_every == 0:
-            state = DensityOperator(y)
+            try:
+                state = DensityOperator(y)
+            except InputValidationError as exc:
+                raise PositivityLoss(
+                    f"state at lambda {lam_k:.6g} is not a density operator "
+                    f"({type(exc).__name__}: {exc}); reduce the step"
+                ) from exc
             samples.append(FlowSample(float(lam_k), state, expectation(state, observable)))
     return FlowTrajectory(observable=observable, samples=tuple(samples), step=float(step))
 

@@ -16,6 +16,10 @@ Kubo-Mori metric at rho(lam); at I/n that is tr(A~_j A~_k)/n with A~ the
 traceless part, i.e. Gram/n, so BFGS starts from n Gram^-1, the exact
 inverse Hessian there, and Hessian resets return to it.
 
+The state, log Z, the dual value and its gradient come from one shifted
+eigendecomposition of sum_k lam_k A_k and need no overflow guard; only
+``partition_function``, which returns Z unshifted, guards the exponent.
+
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
 
@@ -123,29 +127,28 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range "
                     f"[{float(w[0])!r}, {float(w[-1])!r}]; the multiplier would diverge"
                 )
-        stacked = gram = None
-        if observables:
-            stacked = np.stack([a.entries for a in observables])
-            stacked.setflags(write=False)
-            gram = self._check_independent(stacked, dim)
+        stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
+        stacked.setflags(write=False)
+        gram = self._check_independent(stacked, dim)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
         # the first boundary target's refusal, raised by solve_maxent
         object.__setattr__(self, "_boundary", boundary)
-        # the stacked entries and the traceless parts' Gram matrix, for solve_maxent
+        # the (m, n, n) stacked entries and the traceless parts' (m, m) Gram
+        # matrix, both empty when m = 0, for dual_objective and solve_maxent
         object.__setattr__(self, "_stacked", stacked)
         object.__setattr__(self, "_gram", gram)
 
     @staticmethod
     def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
         means = np.trace(stacked, axis1=1, axis2=2).real / dim
-        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(stacked), -1)
+        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(stacked), dim * dim)
         # tr(X Y) = sum_ij X_ij conj(Y_ij) for Hermitian Y
         gram = (flat @ flat.conj().T).real
         s = np.linalg.eigvalsh(gram)
-        if s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT:
+        if s.size and (s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT):
             raise DependentConstraints(
                 "constraint observables are linearly dependent "
                 "(Gram condition number above 1e12); multipliers would not be unique"
@@ -174,16 +177,19 @@ class MaxEntSolution:
     residual: float
 
 
-def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
+def _validated_multipliers(multipliers, m: int) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
-    if lam.ndim != 1 or lam.size != len(observables):
-        raise DimMismatch(
-            f"{lam.size} multipliers but {len(observables)} observables"
-        )
-    if lam.size == 0:
-        raise DimMismatch("at least one observable is required")
+    if lam.ndim != 1 or lam.size != m:
+        raise DimMismatch(f"{lam.size} multipliers but {m} observables")
     if not np.isfinite(lam).all():
         raise InputValidationError("multipliers must be finite")
+    return lam
+
+
+def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
+    lam = _validated_multipliers(multipliers, len(observables))
+    if lam.size == 0:
+        raise DimMismatch("at least one observable is required")
     dim = observables[0].dim
     for a in observables[1:]:
         if a.dim != dim:
@@ -207,54 +213,44 @@ def _softmax_state(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return hermitian_part((v * q) @ v.conj().T)
 
 
-def _guard_radius(w: np.ndarray) -> None:
+def partition_function(multipliers, observables) -> float:
+    """Z = tr exp(-sum_k lam_k A_k), unshifted: a spectral radius above 700 raises Overflow."""
+    lam, stacked = _validated_pair(multipliers, observables)
+    w = np.linalg.eigvalsh(np.tensordot(lam, stacked, axes=1))
     radius = float(np.abs(w).max())
     if radius > EXP_ARGUMENT_LIMIT:
         raise Overflow(
             f"spectral radius {radius:.6g} of the multiplier aggregate exceeds "
             f"the exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
         )
-
-
-def partition_function(multipliers, observables) -> float:
-    """Z = tr exp(-sum_k lam_k A_k)."""
-    lam, stacked = _validated_pair(multipliers, observables)
-    w = np.linalg.eigvalsh(np.tensordot(lam, stacked, axes=1))
-    _guard_radius(w)
     return float(np.exp(-w).sum())
 
 
 def gibbs_state(multipliers, observables) -> DensityOperator:
-    """The canonical state exp(-sum_k lam_k A_k) / Z with strictly positive spectrum."""
+    """The canonical state exp(-sum_k lam_k A_k) / Z; its exponent is shifted, so unguarded."""
     lam, stacked = _validated_pair(multipliers, observables)
     w, v = _eig_aggregate(lam, stacked)
-    _guard_radius(w)
     return DensityOperator(_softmax_state(w, v))
 
 
 def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
-    """Dual value, gradient, canonical state, and aggregate spectrum at ``lam``."""
+    """Dual value, gradient, canonical state, and log Z at ``lam``; m = 0 gives I/n."""
     w, v = _eig_aggregate(lam, stacked)
-    value = float(np.logaddexp.reduce(-w) + lam @ targets)
+    log_z = float(np.logaddexp.reduce(-w))
     state = _softmax_state(w, v)
     # tr(rho A_k) = sum_ij (A_k)_ij conj(rho_ij) for Hermitian rho
-    achieved = (stacked.reshape(len(stacked), -1) @ state.conj().ravel()).real
-    return value, targets - achieved, state, w
+    achieved = (stacked.reshape(len(stacked), state.size) @ state.conj().ravel()).real
+    return log_z + float(lam @ targets), targets - achieved, state, log_z
 
 
 def dual_objective(multipliers, constraints: ConstraintSet):
     """Convex dual value log Z + lam . t and its exact gradient t_j - <A_j>.
 
-    The gradient vanishes exactly at the maximum-entropy multipliers.
+    The gradient vanishes exactly at the maximum-entropy multipliers.  log Z
+    is evaluated after a shift, so no exponent guard applies.
     """
-    if constraints.m == 0:
-        lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
-        if lam.size != 0:
-            raise DimMismatch(f"{lam.size} multipliers but 0 observables")
-        return float(np.log(constraints.dim)), np.zeros(0)
-    lam, stacked = _validated_pair(multipliers, constraints.observables)
-    value, gradient, _, w = _dual_point(lam, stacked, constraints.targets)
-    _guard_radius(w)
+    lam = _validated_multipliers(multipliers, constraints.m)
+    value, gradient, _, _ = _dual_point(lam, constraints._stacked, constraints.targets)
     return value, gradient
 
 
@@ -276,33 +272,19 @@ def solve_maxent(
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise InputValidationError(f"max_iter must be at least 1, got {max_iter!r}")
-    n = constraints.dim
-    if constraints.m == 0:
-        uniform = DensityOperator(np.eye(n) / n)
-        log_n = float(np.log(n))
-        return MaxEntSolution(
-            multipliers=np.zeros(0),
-            lambda0=log_n,
-            estimate=uniform,
-            achieved=np.zeros(0),
-            s_max=log_n,
-            iterations=0,
-            residual=0.0,
-        )
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    stacked, targets = constraints._stacked, constraints.targets
+    n, stacked, targets = constraints.dim, constraints._stacked, constraints.targets
 
     lam = np.zeros(constraints.m)
     hinv = hinv0 = n * np.linalg.inv(constraints._gram)
-    value, gradient, state, w = _dual_point(lam, stacked, targets)
+    value, gradient, state, log_z = _dual_point(lam, stacked, targets)
     iterations = 0
-    converged = abs(gradient).max() <= tol
-    while not converged:
+    residual = float(abs(gradient).max(initial=0.0))
+    while not residual <= tol:
         if iterations >= max_iter:
             raise MaxIterExceeded(
-                f"no convergence after {max_iter} iterations "
-                f"(residual {abs(gradient).max():.3e})"
+                f"no convergence after {max_iter} iterations (residual {residual:.3e})"
             )
         if abs(lam).max() > MULTIPLIER_CAP:
             raise Infeasible(
@@ -320,7 +302,7 @@ def solve_maxent(
         t = 1.0
         while True:
             trial = lam + t * direction
-            point = _dual_point(trial, stacked, targets)  # value, gradient, state, w
+            point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z
             if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion:
                 break
             t *= ARMIJO_SHRINK
@@ -337,19 +319,17 @@ def solve_maxent(
             hinv = (np.eye(constraints.m) - rho * outer) @ hinv @ (
                 np.eye(constraints.m) - rho * outer.T
             ) + rho * np.outer(step, step)
-        lam, (value, gradient, state, w) = trial, point
+        lam, (value, gradient, state, log_z) = trial, point
         iterations += 1
-        converged = abs(gradient).max() <= tol
+        residual = float(abs(gradient).max(initial=0.0))
 
-    lambda0 = float(np.logaddexp.reduce(-w))
     estimate = DensityOperator(state)
     achieved = targets - gradient
-    residual = float(abs(gradient).max())
     lam.setflags(write=False)
     achieved.setflags(write=False)
     return MaxEntSolution(
         multipliers=lam,
-        lambda0=lambda0,
+        lambda0=log_z,
         estimate=estimate,
         achieved=achieved,
         s_max=von_neumann_entropy(estimate),
@@ -430,21 +410,14 @@ def solve_prior_tilt(
     if abs(mean0 - target) <= tol:
         return 0.0, prior
 
-    # mean is strictly decreasing in lam, so bracket on the matching side
-    if mean0 > target:
-        xlo, xhi = 0.0, 1.0
-        while _tilted_mean_var(xhi, a_s, d_s)[0] > target:
-            xlo = xhi
-            xhi *= 2.0
-            if xhi > 1e6:
-                raise Infeasible(f"target {target!r} numerically at the boundary")
-    else:
-        xlo, xhi = -1.0, 0.0
-        while _tilted_mean_var(xlo, a_s, d_s)[0] < target:
-            xhi = xlo
-            xlo *= 2.0
-            if xlo < -1e6:
-                raise Infeasible(f"target {target!r} numerically at the boundary")
+    # mean is strictly decreasing in lam: double away from 0 toward the target
+    sign = 1.0 if mean0 > target else -1.0
+    inner, outer = 0.0, sign
+    while sign * (_tilted_mean_var(outer, a_s, d_s)[0] - target) > 0.0:
+        inner, outer = outer, 2.0 * outer
+        if abs(outer) > 1e6:
+            raise Infeasible(f"target {target!r} numerically at the boundary")
+    xlo, xhi = sorted((inner, outer))
 
     x = 0.5 * (xlo + xhi)
     for _ in range(max_iter):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestEntropy:
         assert code == 0
         value = json.loads(out)["entropy_nats"]
         assert value == pytest.approx(-0.8 * np.log(0.8) - 0.2 * np.log(0.2), abs=1e-12)
+
+    def test_pure_state_prints_positive_zero(self, capsys):
+        code, out, _ = run_captured(capsys, ["entropy", "--state", fixture("state_pure0.json")])
+        assert code == 0
+        assert out == '{"entropy_nats": 0.0}\n'
+        assert math.copysign(1.0, json.loads(out)["entropy_nats"]) == 1.0
 
     def test_relative_entropy(self, capsys):
         code, out, _ = run_captured(
@@ -149,6 +156,21 @@ class TestFlow:
         assert code == 2
         assert json.loads(err)["error"] == "StepInvalid"
 
+    def test_invalid_recorded_state_exit_code(self, capsys, tmp_path):
+        psi = np.array([np.cos(0.286), np.sin(0.286)])
+        document = json.loads(Path(fixture("flow_z.json")).read_text())
+        document["observables"][0]["re"] = [[0.5, 0.0], [0.0, -0.5]]
+        document["prior"]["re"] = np.outer(psi, psi).tolist()
+        problem = tmp_path / "pure_prior.json"
+        problem.write_text(json.dumps(document))
+        argv = ["flow", "--problem", str(problem), "--lambda-end", "1.0", "--step", "0.1"]
+        code, out, err = run_captured(capsys, argv)
+        assert code == 4
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "PositivityLoss"
+        assert "NotPositive" in message["message"]
+
 
 class TestMetric:
     def test_value(self, capsys):
@@ -184,6 +206,13 @@ class TestErrorMapping:
     def test_unknown_flag(self, capsys):
         code, _, err = run_captured(capsys, ["estimate", "--nope"])
         assert code == 2
+        assert json.loads(err)["error"] == "UsageError"
+
+    def test_solver_flags_only_on_solving_subcommands(self, capsys):
+        argv = ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "1.0"]
+        code, out, err = run_captured(capsys, argv + ["--tol", "1e-3"])
+        assert code == 2
+        assert out == ""
         assert json.loads(err)["error"] == "UsageError"
 
     def test_bad_tolerance(self, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from helpers import rand_density, rand_unitary
 
 
 def test_pure_state_entropy_is_zero():
-    assert von_neumann_entropy(make_density(np.diag([1.0, 0.0]))) == 0.0
+    value = von_neumann_entropy(make_density(np.diag([1.0, 0.0])))
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0  # not -0.0
 
 
 def test_uniform_state_entropy():

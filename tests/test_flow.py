@@ -95,6 +95,14 @@ class TestIntegrateFlow:
         with pytest.raises(PositivityLoss):
             integrate_flow(nearly_pure, strong, 4.0, step=1.0)
 
+    def test_invalid_recorded_state_is_positivity_loss(self):
+        # every step passes the -1e-8 check, but the state recorded at 0.1
+        # has an eigenvalue near -4e-9, below DensityOperator's -1e-10
+        psi = np.array([np.cos(0.286), np.sin(0.286)])
+        half_z = make_hermitian(0.5 * SIGMA_Z)
+        with pytest.raises(PositivityLoss, match="NotPositive"):
+            integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
+
     def test_sample_budget(self):
         traj = integrate_flow(UNIFORM, SZ, 2.0, 1e-3)
         assert len(traj.samples) <= 1002

@@ -38,6 +38,8 @@ from helpers import (
 
 SX = make_hermitian(SIGMA_X)
 SZ = make_hermitian(SIGMA_Z)
+# spectrum far from 0 with a spread of 1: the canonical states are shift-stable
+OFFSET = make_hermitian(np.diag([1000.0, 1001.0]))
 ARTANH_HALF = float(np.arctanh(0.5))
 
 
@@ -101,7 +103,9 @@ class TestConstraintSet:
     def test_empty_needs_dim(self):
         with pytest.raises(DimMismatch):
             ConstraintSet((), [])
-        assert ConstraintSet((), [], dim=3).dim == 3
+        empty = ConstraintSet((), [], dim=3)
+        assert empty.dim == 3
+        assert empty._stacked.shape == (0, 3, 3) and empty._gram.shape == (0, 0)
 
 
 class TestPartitionFunction:
@@ -141,6 +145,12 @@ class TestGibbsState:
             rho = gibbs_state(rng.normal(size=2), obs)
             assert np.linalg.eigvalsh(rho.entries).min() > 0.0
 
+    def test_offset_spectrum(self):
+        # the weights exp(-1000) and exp(-1001), shifted by 1000, are 1 and 1/e
+        rho = gibbs_state([1.0], [OFFSET])
+        expected = np.diag([np.e, 1.0]) / (np.e + 1.0)
+        assert np.abs(rho.entries - expected).max() <= 1e-12
+
 
 class TestDualObjective:
     def test_value_and_gradient_at_zero(self):
@@ -156,6 +166,14 @@ class TestDualObjective:
         value, grad = dual_objective([], ConstraintSet((), [], dim=4))
         assert value == pytest.approx(np.log(4.0))
         assert grad.size == 0
+
+    def test_offset_spectrum_at_solution(self):
+        cs = ConstraintSet((OFFSET,), [1000.1])
+        sol = solve_maxent(cs)
+        assert sol.multipliers[0] == pytest.approx(np.log(9.0), abs=1e-9)
+        value, grad = dual_objective(sol.multipliers, cs)
+        assert np.abs(grad).max() <= 1e-10
+        assert value == pytest.approx(sol.lambda0 + 1000.1 * sol.multipliers[0], rel=1e-14)
 
     def test_convexity_probe(self, rng):
         for _ in range(50):
@@ -188,8 +206,10 @@ class TestDualObjective:
 class TestSolveMaxEnt:
     def test_unconstrained_maximum(self):
         sol = solve_maxent(ConstraintSet((), [], dim=3))
-        assert np.allclose(sol.estimate.entries, np.eye(3) / 3)
+        assert np.abs(sol.estimate.entries - np.eye(3) / 3).max() <= 1e-14
         assert sol.s_max == pytest.approx(np.log(3.0), abs=1e-14)
+        assert sol.lambda0 == pytest.approx(np.log(3.0), abs=1e-14)
+        assert sol.multipliers.size == sol.achieved.size == sol.iterations == 0
 
     def test_single_diagonal_constraint(self):
         sol = solve_maxent(ConstraintSet((SZ,), [0.6]))
