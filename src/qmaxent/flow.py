@@ -90,6 +90,12 @@ def flow_field(state: DensityOperator, observable: HermitianOperator) -> Hermiti
     return HermitianOperator(-pushed.entries)
 
 
+def _check_positivity(y: np.ndarray, lam: float) -> None:
+    smallest = float(np.linalg.eigvalsh(y)[0])
+    if smallest < -POSITIVITY_LOSS_TOL:
+        raise PositivityLoss(f"eigenvalue {smallest:.3e} at lambda {lam:.6g}; reduce the step")
+
+
 def integrate_flow(
     start: DensityOperator,
     observable: HermitianOperator,
@@ -138,20 +144,18 @@ def integrate_flow(
         k3 = rhs(y + (h / 2.0) * k2)
         k4 = rhs(y + h * k3)
         y = hermitian_part(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        smallest = float(np.linalg.eigvalsh(y)[0])
-        if smallest < -POSITIVITY_LOSS_TOL:
-            raise PositivityLoss(
-                f"eigenvalue {smallest:.3e} at lambda {lam_k:.6g}; reduce the step"
-            )
         if k == n_steps or k % record_every == 0:
             try:
                 state = DensityOperator(y)
             except InputValidationError as exc:
+                _check_positivity(y, lam_k)
                 raise PositivityLoss(
                     f"state at lambda {lam_k:.6g} is not a density operator "
                     f"({type(exc).__name__}: {exc}); reduce the step"
                 ) from exc
             samples.append(FlowSample(float(lam_k), state, expectation(state, observable)))
+        else:
+            _check_positivity(y, lam_k)
     return FlowTrajectory(observable=observable, samples=tuple(samples), step=float(step))
 
 

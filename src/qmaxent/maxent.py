@@ -16,6 +16,11 @@ Kubo-Mori metric at rho(lam); at I/n that is tr(A~_j A~_k)/n with A~ the
 traceless part, i.e. Gram/n, so BFGS starts from n Gram^-1, the exact
 inverse Hessian there, and Hessian resets return to it.
 
+A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
+interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
+``ConstraintSet`` runs eigvalsh only on targets outside that inner range or
+within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.
+
 The state, log Z, the dual value and its gradient come from one shifted
 eigendecomposition of sum_k lam_k A_k and need no overflow guard; only
 ``partition_function``, which returns Z unshifted, guards the exponent.
@@ -84,7 +89,8 @@ class ConstraintSet:
 
     Construction checks that all observables share one dimension, that each
     target lies inside the spectral range of its observable (a necessary
-    feasibility condition), and that the traceless parts of the observables
+    feasibility condition, certified by the 2x2 principal submatrices or else
+    by ``eigvalsh``), and that the traceless parts of the observables
     are numerically independent (Gram condition number at most 1e12);
     dependent constraints would make the multipliers non-unique and are
     rejected rather than regularized.  ``dim`` may be given explicitly,
@@ -114,21 +120,21 @@ class ConstraintSet:
                 raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
         if dim is None:
             raise DimMismatch("dimension required when no observables are given")
-        boundary = None
-        for a, t in zip(observables, targets):
-            w = np.linalg.eigvalsh(a.entries)
-            if not (w[0] <= t <= w[-1]):
-                raise Infeasible(
-                    f"target {float(t)!r} outside the spectral range "
-                    f"[{float(w[0])!r}, {float(w[-1])!r}]"
-                )
-            if boundary is None and not (w[0] < t < w[-1]):
-                boundary = (
-                    f"target {float(t)!r} on the boundary of the spectral range "
-                    f"[{float(w[0])!r}, {float(w[-1])!r}]; the multiplier would diverge"
-                )
         stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
         stacked.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
+            uncertain = self._uncertain(stacked, targets)
+        boundary = None
+        for k in uncertain:
+            t, w = targets[k], np.linalg.eigvalsh(observables[k].entries)
+            span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
+            if not (w[0] <= t <= w[-1]):
+                raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
+            if boundary is None and not (w[0] < t < w[-1]):
+                boundary = (
+                    f"target {float(t)!r} on the boundary of the spectral range {span}; "
+                    "the multiplier would diverge"
+                )
         gram = self._check_independent(stacked, dim)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
@@ -142,9 +148,27 @@ class ConstraintSet:
         object.__setattr__(self, "_gram", gram)
 
     @staticmethod
+    def _uncertain(stacked: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Indices of the targets that the 2x2 principal submatrices leave undecided."""
+        m, n = stacked.shape[:2]
+        flat = stacked.reshape(m, n * n)
+        parts = flat.view(np.float64)  # ||A||_F >= ||A||_2 bounds LAPACK's error
+        margin = 1e-10 * np.sqrt(np.einsum("ki,ki->k", parts, parts))
+        diag = flat[:, :: n + 1].real
+        lo, hi = diag.min(axis=1), diag.max(axis=1)
+        rest = np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
+        d, off = diag[rest], np.abs(flat[rest]) ** 2
+        off[:, :: n + 1] = 0.0  # a 1x1 block's eigenvalue is a_ii itself
+        mid = (d[:, :, None] + d[:, None, :]) / 2.0
+        rad = np.sqrt(((d[:, :, None] - d[:, None, :]) / 2.0) ** 2 + off.reshape(-1, n, n))
+        lo[rest], hi[rest] = (mid - rad).min(axis=(1, 2)), (mid + rad).max(axis=(1, 2))
+        return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
+
+    @staticmethod
     def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
         means = np.trace(stacked, axis1=1, axis2=2).real / dim
-        flat = (stacked - means[:, None, None] * np.eye(dim)).reshape(len(stacked), dim * dim)
+        flat = stacked.reshape(len(stacked), dim * dim).copy()
+        flat[:, :: dim + 1] -= means[:, None]
         # tr(X Y) = sum_ij X_ij conj(Y_ij) for Hermitian Y
         gram = (flat @ flat.conj().T).real
         s = np.linalg.eigvalsh(gram)

@@ -103,6 +103,12 @@ class TestIntegrateFlow:
         with pytest.raises(PositivityLoss, match="NotPositive"):
             integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
 
+    def test_one_eigvalsh_per_step(self, eig_calls):
+        # a recorded step's validation doubles as its positivity check
+        eig_calls.clear()
+        integrate_flow(UNIFORM, SZ, 1.0, 1e-3)
+        assert eig_calls == {"eigvalsh": 1000}
+
     def test_sample_budget(self):
         traj = integrate_flow(UNIFORM, SZ, 2.0, 1e-3)
         assert len(traj.samples) <= 1002

@@ -65,6 +65,29 @@ def gibbs_instance(rng, n, m, scale):
     return ConstraintSet(observables, [expectation(state, a) for a in observables])
 
 
+def range_verdict(observables, targets):
+    """The spectral-range rule of ConstraintSet on every observable's full spectrum."""
+    boundary = None
+    for a, t in zip(observables, np.asarray(targets, dtype=np.float64)):
+        w = np.linalg.eigvalsh(a.entries)
+        span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
+        if not (w[0] <= t <= w[-1]):
+            return Infeasible, f"target {float(t)!r} outside the spectral range {span}"
+        if boundary is None and not (w[0] < t < w[-1]):
+            boundary = (
+                f"target {float(t)!r} on the boundary of the spectral range {span}; "
+                "the multiplier would diverge"
+            )
+    return None, boundary
+
+
+def constraint_verdict(observables, targets):
+    try:
+        return None, ConstraintSet(observables, targets)._boundary
+    except Infeasible as exc:
+        return Infeasible, str(exc)
+
+
 class TestConstraintSet:
     def test_target_outside_spectrum_rejected(self):
         with pytest.raises(Infeasible):
@@ -92,13 +115,57 @@ class TestConstraintSet:
         with pytest.raises(DependentConstraints):
             ConstraintSet((make_hermitian(np.eye(2)),), [1.0])
 
-    def test_one_eigvalsh_per_observable_plus_gram(self, rng, eig_calls):
+    def test_eigvalsh_only_for_uncertain_targets(self, rng, eig_calls):
         observables = tuple(rand_hermitian(rng, 4) for _ in range(3))
-        interior = rand_density(rng, 4, min_eig=0.05)
-        targets = [expectation(interior, a) for a in observables]
+        spectra = [np.linalg.eigvalsh(a.entries) for a in observables]
+        # the uniform state's means lie strictly inside each diagonal's range
+        means = [float(np.trace(a.entries).real) / 4 for a in observables]
         eig_calls.clear()
-        ConstraintSet(observables, targets)
-        assert eig_calls == {"eigvalsh": 4}
+        ConstraintSet(observables, means)
+        assert eig_calls == {"eigvalsh": 1}  # the Gram check alone
+        # a target on its boundary is not certified: one spectrum each, then the Gram check
+        eig_calls.clear()
+        cs = ConstraintSet(observables, [spectra[0][-1], means[1], spectra[2][0]])
+        assert eig_calls == {"eigvalsh": 3} and cs._boundary is not None
+        # an out-of-range target is refused before the Gram check
+        eig_calls.clear()
+        with pytest.raises(Infeasible):
+            ConstraintSet(observables, [means[0], spectra[1][-1] + 1.0, means[2]])
+        assert eig_calls == {"eigvalsh": 1}
+
+    def test_certificate_agrees_with_full_spectra(self, rng):
+        def diagonal(n):
+            return make_hermitian(np.diag(rng.normal(size=n)))
+
+        def blocks(n):
+            # each 2x2 block's eigenvalues belong to the whole, so pairs reach w_min and w_max
+            out = np.zeros((n, n), complex)
+            for i in range(0, n, 2):
+                g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                out[i : i + 2, i : i + 2] = g + g.conj().T
+            return make_hermitian(out)
+
+        def candidates(w):
+            lo, hi, scale = w[0], w[-1], np.abs(w).max()
+            ulps = [edge + k * np.spacing(edge) for edge in (lo, hi) for k in (-3, -1, 0, 1, 3)]
+            relative = [edge + r * scale for edge in (lo, hi) for r in (-1e-9, -1e-11, 1e-11)]
+            return ulps + relative + [(lo + hi) / 2, hi + 0.5 * scale, lo - 0.5 * scale]
+
+        for _ in range(300):
+            n, m = int(rng.choice([4, 6])), int(rng.integers(1, 4))
+            make = (diagonal, blocks, lambda n: rand_hermitian(rng, n))[int(rng.integers(3))]
+            observables = tuple(make(n) for _ in range(m))
+            targets = [rng.choice(candidates(np.linalg.eigvalsh(a.entries))) for a in observables]
+            assert constraint_verdict(observables, targets) == range_verdict(observables, targets)
+        # the certificate is not vacuous: 1e-9 inside either edge, both kinds need no spectrum
+        for a in (diagonal(6), blocks(6)):
+            w = np.linalg.eigvalsh(a.entries)
+            inside = np.array([w[0], w[-1]]) + np.array([1e-9, -1e-9]) * np.abs(w).max()
+            assert ConstraintSet._uncertain(np.array([a.entries] * 2), inside).size == 0
+        # the diagonal must be masked out of |a_ij|: unmasked, sigma_z's pairs would span [-2, 2]
+        for target in (1.0, -1.0, 1.0 - 1e-12, 1.5):
+            assert constraint_verdict((SZ,), [target]) == range_verdict((SZ,), [target])
+        assert ConstraintSet((SZ,), [1.0])._boundary is not None
 
     def test_empty_needs_dim(self):
         with pytest.raises(DimMismatch):
