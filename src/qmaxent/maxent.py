@@ -9,12 +9,12 @@ and the multipliers are the unique minimizer of the smooth convex dual
 
     value(lam) = log Z(lam) + sum_j lam_j t_j,
 
-whose gradient is t_j - <A_j>_{rho(lam)}.  ``solve_maxent`` minimizes the
-dual with a quasi-Newton (BFGS) iteration and Armijo backtracking,
-starting from lam = 0 (the uniform state).  The dual's Hessian is the
-Kubo-Mori metric at rho(lam); at I/n that is tr(A~_j A~_k)/n with A~ the
-traceless part, i.e. Gram/n, so BFGS starts from n Gram^-1, the exact
-inverse Hessian there, and Hessian resets return to it.
+whose gradient is t_j - <A_j>_{rho(lam)} and whose Hessian is the Kubo-Mori
+metric at rho(lam).  ``solve_maxent`` runs Newton's method with Armijo
+backtracking from lam = 0 (the uniform state), solving each Newton system by
+conjugate gradients on Hessian-vector products, which need no eigendecomposition
+beyond the dual evaluation's own.  They are preconditioned with n Gram^-1
+(Gram of the traceless parts), the exact inverse Hessian at I/n.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
@@ -91,7 +91,8 @@ class ConstraintSet:
     target lies inside the spectral range of its observable (a necessary
     feasibility condition, certified by the 2x2 principal submatrices or else
     by ``eigvalsh``), and that the traceless parts of the observables
-    are numerically independent (Gram condition number at most 1e12);
+    are numerically independent (condition number of their correlation
+    matrix at most 1e12, whatever their scales; one proportional to I fails);
     dependent constraints would make the multipliers non-unique and are
     rejected rather than regularized.  ``dim`` may be given explicitly,
     which is required when there are no observables at all.  A target on
@@ -166,17 +167,34 @@ class ConstraintSet:
 
     @staticmethod
     def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
-        means = np.trace(stacked, axis1=1, axis2=2).real / dim
-        flat = stacked.reshape(len(stacked), dim * dim).copy()
-        flat[:, :: dim + 1] -= means[:, None]
-        # tr(X Y) = sum_ij X_ij conj(Y_ij) for Hermitian Y
-        gram = (flat @ flat.conj().T).real
-        s = np.linalg.eigvalsh(gram)
+        """Gram matrix G of the traceless parts, after a scale-free independence check.
+
+        The check reads D^-1/2 G D^-1/2, D = diag G, built from each observable
+        scaled to unit peak entry, so it neither overflows nor underflows.
+        """
+        flat = stacked.reshape(-1, dim * dim)
+        peaks = np.maximum(flat.view(np.float64).max(axis=1), -flat.view(np.float64).min(axis=1))
+        flat = flat / np.where(peaks > 0.0, peaks, 1.0)[:, None]
+        flat[:, :: dim + 1] -= flat[:, :: dim + 1].real.mean(axis=1)[:, None]
+        # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y
+        parts = flat.view(np.float64)
+        inner = parts @ parts.T
+        norms = np.sqrt(inner.diagonal())
+        if not norms.all():
+            raise DependentConstraints(
+                f"observable {int(np.argmin(norms))} is a multiple of the identity; "
+                "its constraint only fixes the trace"
+            )
+        s = np.linalg.eigvalsh(inner / norms[:, None] / norms[None, :])
         if s.size and (s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT):
             raise DependentConstraints(
-                "constraint observables are linearly dependent "
-                "(Gram condition number above 1e12); multipliers would not be unique"
+                "constraint observables are linearly dependent (condition number of the "
+                "traceless parts' correlation matrix above 1e12); multipliers would not be unique"
             )
+        with np.errstate(over="ignore"):
+            gram = inner * peaks[:, None] * peaks[None, :]
+        if not np.isfinite(gram).all():
+            raise InputValidationError("observables too large: their Gram matrix overflows")
         return gram
 
     @property
@@ -229,12 +247,12 @@ def _eig_aggregate(lam: np.ndarray, stacked: np.ndarray):
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
 
-def _softmax_state(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """exp(-W)/tr(exp(-W)) from the eigensystem of W, stable under shifts."""
+def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-W)/tr(exp(-W)) and its eigenvalues, from the eigensystem of W; stable under shifts."""
     u = -w
     q = np.exp(u - u.max())
     q /= q.sum()
-    return hermitian_part((v * q) @ v.conj().T)
+    return hermitian_part((v * q) @ v.conj().T), q
 
 
 def partition_function(multipliers, observables) -> float:
@@ -254,17 +272,37 @@ def gibbs_state(multipliers, observables) -> DensityOperator:
     """The canonical state exp(-sum_k lam_k A_k) / Z; its exponent is shifted, so unguarded."""
     lam, stacked = _validated_pair(multipliers, observables)
     w, v = _eig_aggregate(lam, stacked)
-    return DensityOperator(_softmax_state(w, v))
+    return DensityOperator(_softmax_state(w, v)[0])
 
 
 def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
-    """Dual value, gradient, canonical state, and log Z at ``lam``; m = 0 gives I/n."""
+    """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n."""
     w, v = _eig_aggregate(lam, stacked)
     log_z = float(np.logaddexp.reduce(-w))
-    state = _softmax_state(w, v)
+    state, p = _softmax_state(w, v)
     # tr(rho A_k) = sum_ij (A_k)_ij conj(rho_ij) for Hermitian rho
     achieved = (stacked.reshape(len(stacked), state.size) @ state.conj().ravel()).real
-    return log_z + float(lam @ targets), targets - achieved, state, log_z
+    return log_z + float(lam @ targets), targets - achieved, state, log_z, (w, v, p)
+
+
+def _kubo_mori_product(stacked, achieved, w, v, p):
+    """x -> H x, H the dual's Hessian (the Kubo-Mori metric of V diag(p) V^dag); no eigh.
+
+    H_jk = sum_ab (B_j)_ab conj((B_k)_ab) K_ab - <A_j><A_k> with B = V^dag A V and K_ab =
+    (p_a - p_b)/(w_b - w_a) = max(p_a, p_b) phi(|w_a - w_b|), phi(x) = -expm1(-x)/x,
+    phi(0) = 1: the latter form is exact on degenerate pairs and cannot overflow.
+    """
+    gap = np.abs(w[:, None] - w[None, :])
+    phi = np.ones_like(gap)
+    np.divide(-np.expm1(-gap), gap, out=phi, where=gap > 0.0)
+    kernel = np.maximum(p[:, None], p[None, :]) * phi
+    flat, vh = stacked.reshape(len(stacked), gap.size), v.conj().T
+
+    def product(x: np.ndarray) -> np.ndarray:
+        y = v @ (kernel * (vh @ (x @ flat).reshape(gap.shape) @ v)) @ vh
+        return (flat @ y.conj().ravel()).real - achieved * float(achieved @ x)
+
+    return product
 
 
 def dual_objective(multipliers, constraints: ConstraintSet):
@@ -274,8 +312,34 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     is evaluated after a shift, so no exponent guard applies.
     """
     lam = _validated_multipliers(multipliers, constraints.m)
-    value, gradient, _, _ = _dual_point(lam, constraints._stacked, constraints.targets)
+    value, gradient = _dual_point(lam, constraints._stacked, constraints.targets)[:2]
     return value, gradient
+
+
+def _newton_direction(hessian, gradient: np.ndarray, precond: np.ndarray) -> np.ndarray:
+    """H d = -g by at most m conjugate-gradient steps from d = 0, preconditioned with P.
+
+    Stops when ||r||_P <= eta ||g||_P, eta = min(0.5, ||g||_P) (Eisenstat-Walker, in the
+    P-norm so the stop ignores how observables are scaled), or at non-positive
+    curvature with the last iterate, or -P g if there is none.
+    """
+    r, d = -gradient, np.zeros_like(gradient)  # residual, direction
+    s = z = precond @ r  # search direction, preconditioned residual
+    rz = float(r @ z)
+    stop = min(0.25, rz) * rz  # eta^2 ||g||_P^2
+    for k in range(r.size):
+        hs = hessian(s)
+        curvature = float(s @ hs)
+        if not curvature > 0.0:
+            return d if k else s
+        alpha = rz / curvature
+        d, r = d + alpha * s, r - alpha * hs
+        z = precond @ r
+        rz, previous = float(r @ z), rz
+        if rz <= stop:
+            break
+        s = z + (rz / previous) * s
+    return d
 
 
 def solve_maxent(
@@ -283,9 +347,9 @@ def solve_maxent(
 ) -> MaxEntSolution:
     """Solve for the entropy-maximizing state subject to the constraints.
 
-    Minimizes the convex dual by BFGS with Armijo backtracking (shrink 0.5,
-    slope 1e-4) from lam = 0 and n Gram^-1, the exact inverse Hessian of the
-    dual there; a non-descent direction resets the inverse Hessian to it.
+    Minimizes the convex dual by Newton's method with Armijo backtracking
+    (shrink 0.5, slope 1e-4) from lam = 0, each step solved by conjugate
+    gradients on the exact Hessian, preconditioned with its inverse at 0.
     Convergence means the largest constraint violation is at most ``tol``.
     Targets on or outside the boundary of the achievable set are reported as
     Infeasible, either up front (target on the spectral boundary) or when the
@@ -301,8 +365,8 @@ def solve_maxent(
     n, stacked, targets = constraints.dim, constraints._stacked, constraints.targets
 
     lam = np.zeros(constraints.m)
-    hinv = hinv0 = n * np.linalg.inv(constraints._gram)
-    value, gradient, state, log_z = _dual_point(lam, stacked, targets)
+    precond = n * np.linalg.inv(constraints._gram)
+    value, gradient, state, log_z, eig = _dual_point(lam, stacked, targets)
     iterations = 0
     residual = float(abs(gradient).max(initial=0.0))
     while not residual <= tol:
@@ -315,18 +379,15 @@ def solve_maxent(
                 "multiplier norm exceeded 1e4 with a non-vanishing gradient; "
                 "the targets lie on or outside the achievable set"
             )
-        direction = -hinv @ gradient
+        hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
+        direction = _newton_direction(hessian, gradient, precond)
         slope = float(gradient @ direction)
-        if slope >= 0.0:
-            hinv = hinv0
-            direction = -hinv0 @ gradient
-            slope = float(gradient @ direction)
         # small cushion absorbs ties at the resolution of the dual value
         cushion = 1e-14 * max(1.0, abs(value))
         t = 1.0
         while True:
             trial = lam + t * direction
-            point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z
+            point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z, eig
             if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion:
                 break
             t *= ARMIJO_SHRINK
@@ -334,16 +395,7 @@ def solve_maxent(
                 raise MaxIterExceeded(
                     "line search stalled before reaching the requested tolerance"
                 )
-        step = trial - lam
-        change = point[1] - gradient
-        curvature = float(step @ change)
-        if curvature > 1e-14 * np.linalg.norm(step) * np.linalg.norm(change):
-            rho = 1.0 / curvature
-            outer = np.outer(step, change)
-            hinv = (np.eye(constraints.m) - rho * outer) @ hinv @ (
-                np.eye(constraints.m) - rho * outer.T
-            ) + rho * np.outer(step, step)
-        lam, (value, gradient, state, log_z) = trial, point
+        lam, (value, gradient, state, log_z, eig) = trial, point
         iterations += 1
         residual = float(abs(gradient).max(initial=0.0))
 

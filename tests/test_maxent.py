@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from qmaxent import (
     DependentConstraints,
     DimMismatch,
     Infeasible,
+    InputValidationError,
     Overflow,
     classical_gibbs_oracle,
     dual_objective,
@@ -65,6 +68,13 @@ def gibbs_instance(rng, n, m, scale):
     return ConstraintSet(observables, [expectation(state, a) for a in observables])
 
 
+def hessian_matrix(cs, lam):
+    """The dual's Hessian at ``lam``, one solver Hessian-vector product per column."""
+    _, gradient, _, _, eig = qmaxent.maxent._dual_point(lam, cs._stacked, cs.targets)
+    product = qmaxent.maxent._kubo_mori_product(cs._stacked, cs.targets - gradient, *eig)
+    return np.array([product(e) for e in np.eye(cs.m)]).T
+
+
 def range_verdict(observables, targets):
     """The spectral-range rule of ConstraintSet on every observable's full spectrum."""
     boundary = None
@@ -112,8 +122,32 @@ class TestConstraintSet:
         assert ConstraintSet((SX, sy, SZ), [0.1, 0.2, 0.3]).m == 3
 
     def test_identity_observable_rejected(self):
-        with pytest.raises(DependentConstraints):
+        with pytest.raises(DependentConstraints, match="multiple of the identity"):
             ConstraintSet((make_hermitian(np.eye(2)),), [1.0])
+
+    def test_independence_is_scale_free(self):
+        # the Gram matrix of this pair overflows; its correlation matrix does not
+        huge = np.array([[1e160, 3e159], [3e159, -1e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DependentConstraints, match="correlation"):
+                ConstraintSet((make_hermitian(huge), make_hermitian(2.0 * huge)), [1e159, 2e159])
+        # orthogonal however small: Gram diag(2, 2e-14), correlation the identity
+        small = make_hermitian(1e-7 * SIGMA_Y)
+        sol = solve_maxent(ConstraintSet((SX, small), [0.3, 1e-11]))
+        expected = make_density((np.eye(2) + 0.3 * SIGMA_X + 1e-4 * SIGMA_Y) / 2)
+        assert trace_distance(sol.estimate, expected) <= 1e-9
+
+    def test_gram_overflow_is_an_input_error(self):
+        # independent, but the squared norms pass the largest double
+        huge = [make_hermitian(np.diag([8e307, 8e307, 8e307, -1e307]))]
+        huge.append(make_hermitian(np.diag([0.0, 1e160, 0.0, -1e160])))
+        for observables in (huge[:1], huge[1:], huge):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(InputValidationError, match="overflows") as caught:
+                    ConstraintSet(tuple(observables), [0.0] * len(observables))
+            assert type(caught.value) is InputValidationError
 
     def test_eigvalsh_only_for_uncertain_targets(self, rng, eig_calls):
         observables = tuple(rand_hermitian(rng, 4) for _ in range(3))
@@ -269,6 +303,59 @@ class TestDualObjective:
         metric = np.array([[metric_forms(uniform, f, g) for g in forms] for f in forms])
         assert np.abs(metric - hessian).max() <= 1e-12
 
+    def test_hessian_product_is_the_gradient_jacobian(self, rng):
+        def unit(n):
+            return rand_hermitian_radius(rng, n, 1.0)
+
+        def cases():
+            for _ in range(20):
+                n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+                yield tuple(unit(n) for _ in range(m)), rng.normal(0.0, 1.5, size=m)
+            # repeated eigenvalues of the aggregate: the kernel's phi(0) = 1 on off-diagonal pairs
+            degenerate = [make_hermitian(np.diag([1.0, 1.0, 0.0, -2.0])), unit(4), unit(4)]
+            yield tuple(degenerate), np.array([0.7, 0.0, 0.0])
+            # a spread of 760 in the aggregate: exp(-760) underflows, the kernel stays finite
+            spread = [make_hermitian(np.diag([0.0, 0.3, 700.0, 760.0])), unit(4), unit(4)]
+            yield tuple(spread), np.array([1.0, 0.4, -0.3])
+
+        h = 1e-5
+        for observables, lam in cases():
+            state = gibbs_state(lam, observables)
+            cs = ConstraintSet(observables, [expectation(state, a) for a in observables])
+            hessian = hessian_matrix(cs, lam)
+            steps = np.eye(cs.m) * h
+            rows = [dual_objective(lam + e, cs)[1] - dual_objective(lam - e, cs)[1] for e in steps]
+            fd = np.array(rows).T / (2 * h)
+            assert np.abs(fd - hessian).max() <= 1e-7 * np.abs(hessian).max()
+
+    def test_hessian_below_symmetric_covariance(self, rng):
+        # the logarithmic mean of (p_a, p_b) is at most their arithmetic mean
+        for commuting in (False, True):
+            for _ in range(20):
+                # m >= 2: a lone observable commutes with its own canonical state
+                n, m = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+                if commuting:
+                    diagonals = rng.normal(size=(m, n))
+                    observables = tuple(make_hermitian(np.diag(d)) for d in diagonals)
+                else:
+                    observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
+                lam = rng.normal(0.0, 2.0, size=m)
+                state = gibbs_state(lam, observables)
+                try:
+                    cs = ConstraintSet(observables, [expectation(state, a) for a in observables])
+                except DependentConstraints:
+                    continue
+                forms = [zero_mean_form(state, a) for a in observables]
+                covariance = np.array([[metric_forms(state, f, g) for g in forms] for f in forms])
+                gap = covariance - hessian_matrix(cs, lam)
+                scale = np.abs(covariance).max()
+                if commuting:
+                    assert np.abs(gap).max() <= 1e-12 * scale
+                else:
+                    # positive semidefinite, and not zero: the means differ off the diagonal
+                    spectrum = np.linalg.eigvalsh((gap + gap.T) / 2)
+                    assert spectrum[0] >= -1e-12 * scale and spectrum[-1] >= 1e-6 * scale
+
 
 class TestSolveMaxEnt:
     def test_unconstrained_maximum(self):
@@ -358,6 +445,22 @@ class TestSolveMaxEnt:
             assert sol.s_max == pytest.approx(von_neumann_entropy(sol.estimate), abs=1e-8)
             explicit = sol.lambda0 + float(sol.multipliers @ cs.targets)
             assert sol.s_max == pytest.approx(explicit, abs=1e-8)
+
+    def test_low_temperature_corpus(self, rng):
+        # multipliers ~ N(0, s^2) on unnormalised observables: nearly pure canonical states
+        for s in (4.0, 6.0, 8.0):
+            for _ in range(10):
+                observables = tuple(rand_hermitian(rng, 6) for _ in range(4))
+                lam = rng.normal(0.0, s, size=4)
+                aggregate = np.tensordot(lam, [a.entries for a in observables], axes=1)
+                w = np.linalg.eigvalsh(aggregate)
+                log_z = -w[0] + np.log(np.exp(w[0] - w).sum())
+                state = gibbs_state(lam, observables)
+                targets = np.array([expectation(state, a) for a in observables])
+                # the dual is flat here: judge the residual and the entropy, not the multipliers
+                sol = solve_maxent(ConstraintSet(observables, targets))
+                assert sol.residual <= 1e-10
+                assert sol.s_max == pytest.approx(log_z + float(lam @ targets), abs=1e-8)
 
     def test_qubit_entropy_maximality_against_grid(self, rng):
         for _ in range(5):
