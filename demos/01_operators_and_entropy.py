@@ -32,9 +32,9 @@ except NotHermitian as exc:
     print("rejected non-Hermitian input:", exc)
 
 print("\n== spectral decomposition ==")
-dec = eig_hermitian(sx)
-print("eigenvalues:", dec.eigenvalues)
-print("eigenvectors (columns):\n", np.round(dec.eigenvectors.real, 6))
+w, v = eig_hermitian(sx)
+print("eigenvalues:", w)
+print("eigenvectors (columns):\n", np.round(v.real, 6))
 
 print("\n== spectral functions ==")
 doubling = make_hermitian(np.log(2.0) * Z)

@@ -9,17 +9,16 @@ eigenvalue gaps.
 import numpy as np
 
 from qmaxent import (
-    OneForm,
     SingularBase,
     TangentDecomposition,
     assemble_tangent,
+    expectation,
     line_element,
     lower_vector,
     make_density,
     make_hermitian,
     metric_forms,
     metric_vectors,
-    pair,
     raise_form,
     zero_mean_form,
 )
@@ -31,12 +30,12 @@ uniform = make_density(np.eye(2) / 2)
 rho = make_density(np.diag([0.8, 0.2]))
 
 print("== 1-forms pair with states through the trace ==")
-print("<sigma_z, diag(0.8, 0.2)> =", pair(OneForm(sz), rho))
-print("<1, rho> =", pair(OneForm(make_hermitian(np.eye(2))), rho))
+print("<sigma_z, diag(0.8, 0.2)> =", expectation(rho, sz))
+print("<1, rho> =", expectation(rho, make_hermitian(np.eye(2))))
 
 print("\n== raising and lowering ==")
-print("R_{I/2}(sigma_x) =\n", np.round(raise_form(uniform, OneForm(sx)).entries.real, 12))
-print("L_{I/2}(sigma_x) =\n", np.round(lower_vector(uniform, sx).value.entries.real, 12))
+print("R_{I/2}(sigma_x) =\n", np.round(raise_form(uniform, sx).entries.real, 12))
+print("L_{I/2}(sigma_x) =\n", np.round(lower_vector(uniform, sx).entries.real, 12))
 roundtrip = raise_form(rho, lower_vector(rho, sx))
 print("raise(lower(sigma_x)) error:", np.abs(roundtrip.entries - X).max())
 try:
@@ -45,10 +44,10 @@ except SingularBase as exc:
     print("pure states have no lowering operator:", exc)
 
 print("\n== the metric in both pictures ==")
-print("g_forms(I/2; sigma_x, sigma_x)  =", metric_forms(uniform, OneForm(sx), OneForm(sx)))
-print("g_forms(I/2; sigma_x, sigma_z)  =", metric_forms(uniform, OneForm(sx), OneForm(sz)))
+print("g_forms(I/2; sigma_x, sigma_x)  =", metric_forms(uniform, sx, sx))
+print("g_forms(I/2; sigma_x, sigma_z)  =", metric_forms(uniform, sx, sz))
 print("g_vectors(I/2; sigma_x, sigma_x) =", metric_vectors(uniform, sx, sx))
-raised = raise_form(uniform, OneForm(sx))
+raised = raise_form(uniform, sx)
 print("duality: g_vectors(R(sx), R(sx)) =", metric_vectors(uniform, raised, raised))
 
 print("\n== line element ==")
@@ -75,4 +74,4 @@ print("g(drho, drho)     :", metric_vectors(base, direction, direction))
 
 print("\n== zero-mean forms are metric-orthogonal to their level surfaces ==")
 centered = zero_mean_form(rho, sz)
-print("<recentered sigma_z> =", pair(centered, rho))
+print("<recentered sigma_z> =", expectation(rho, centered))

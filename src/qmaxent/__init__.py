@@ -3,7 +3,7 @@
 The package has five layers:
 
 * :mod:`qmaxent.operators` -- validated Hermitian/density operators,
-  spectral decomposition and spectral functions, expectations, norms.
+  eigendecomposition and spectral functions, expectations, norms.
 * :mod:`qmaxent.entropy` -- von Neumann entropy and a signed logarithmic
   relative entropy (nonpositive; maximized at equality).
 * :mod:`qmaxent.maxent` -- canonical (Gibbs) states, the convex dual of the
@@ -42,7 +42,6 @@ from .errors import (
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    SpectralDecomposition,
     apply_spectral_function,
     commutator_norm,
     eig_hermitian,
@@ -65,14 +64,12 @@ from .maxent import (
     solve_prior_tilt,
 )
 from .geometry import (
-    OneForm,
     TangentDecomposition,
     assemble_tangent,
     line_element,
     lower_vector,
     metric_forms,
     metric_vectors,
-    pair,
     raise_form,
     zero_mean_form,
 )
@@ -107,12 +104,10 @@ __all__ = [
     "NotPositive",
     "NotTraceless",
     "NumericalFailure",
-    "OneForm",
     "Overflow",
     "PositivityLoss",
     "QuantumMaxEntError",
     "SingularBase",
-    "SpectralDecomposition",
     "StepInvalid",
     "SupportViolation",
     "TangentDecomposition",
@@ -137,7 +132,6 @@ __all__ = [
     "make_hermitian",
     "metric_forms",
     "metric_vectors",
-    "pair",
     "partition_function",
     "raise_form",
     "relative_entropy",

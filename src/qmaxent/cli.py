@@ -30,7 +30,7 @@ from .errors import (
     QuantumMaxEntError,
 )
 from .flow import integrate_flow
-from .geometry import OneForm, metric_forms
+from .geometry import metric_forms
 from .maxent import ConstraintSet, solve_maxent, solve_prior_tilt
 from .operators import expectation
 
@@ -53,7 +53,6 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", metavar="PATH", help="write the result JSON here instead of stdout")
-    p.add_argument("--quiet", action="store_true", help="suppress stdout")
 
 
 def _build_parser() -> _Parser:
@@ -180,10 +179,7 @@ def _dispatch(args):
     elif args.command == "metric":
         problem = problem_from_document(_load_json(args.problem))
         _require_mode(problem, "metric")
-        value = metric_forms(
-            problem.prior, OneForm(problem.observables[0]), OneForm(problem.observables[1])
-        )
-        result = {"value": value}
+        result = {"value": metric_forms(problem.prior, *problem.observables)}
     elif args.command == "entropy":
         state = density_from_document(_load_json(args.state))
         result = {"entropy_nats": von_neumann_entropy(state)}
@@ -208,7 +204,7 @@ def run(argv) -> int:
         payload = json.dumps(result, sort_keys=True) + "\n"
         if args.output:
             Path(args.output).write_text(payload, encoding="utf-8")
-        elif not args.quiet:
+        else:
             sys.stdout.write(payload)
         if csv_rows is not None and getattr(args, "csv", None):
             lines = ["lambda,mean,trace_error"]

@@ -24,20 +24,17 @@ __all__ = [
     "problem_from_document",
 ]
 
-MODES = ("maxent", "prior_tilt", "flow", "metric", "entropy")
+MODES = ("maxent", "prior_tilt", "flow", "metric")
 DOCUMENT_HERMITICITY_TOL = 1e-9
 MAX_DOCUMENT_DIM = 1024
 
 
-def operator_to_document(op: HermitianOperator, label: str | None = None) -> dict:
-    doc = {
+def operator_to_document(op: HermitianOperator) -> dict:
+    return {
         "dim": op.dim,
         "re": op.entries.real.tolist(),
         "im": op.entries.imag.tolist(),
     }
-    if label is not None:
-        doc["label"] = str(label)
-    return doc
 
 
 def _real_matrix(raw, dim: int, name: str) -> np.ndarray:
@@ -132,12 +129,8 @@ def problem_from_document(doc) -> Problem:
     elif mode == "flow":
         if len(observables) != 1 or prior is None:
             raise InputValidationError("flow mode needs exactly one observable and a prior")
-    elif mode == "metric":
-        if len(observables) != 2 or prior is None:
-            raise InputValidationError(
-                "metric mode needs exactly two observables and a prior (base state)"
-            )
-    else:  # entropy
-        if prior is None:
-            raise InputValidationError("entropy mode needs a prior (the state)")
+    elif len(observables) != 2 or prior is None:  # metric
+        raise InputValidationError(
+            "metric mode needs exactly two observables and a prior (base state)"
+        )
     return Problem(mode=mode, observables=observables, targets=tuple(targets), prior=prior)

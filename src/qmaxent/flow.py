@@ -173,14 +173,14 @@ def closed_form_flow(
         raise InputValidationError(f"lam must be finite, got {lam!r}")
     if lam == 0.0:
         return start
-    dec = eig_hermitian(observable)
-    span = 0.5 * abs(lam) * float(np.ptp(dec.eigenvalues))
+    w, v = eig_hermitian(observable)
+    span = 0.5 * abs(lam) * float(np.ptp(w))
     if span > EXP_ARGUMENT_LIMIT:
         raise Overflow(
             f"|lam| * (a_max - a_min) / 2 = {span:.6g} exceeds the "
             f"exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
         )
-    return _tilt(start, dec, lam)
+    return _tilt(start, w, v, lam)
 
 
 def flow_to_constraint(
@@ -207,20 +207,21 @@ def flow_to_constraint(
         raise InputValidationError("target must be finite")
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
-    dec = eig_hermitian(observable)
-    if _tilt_support(start, dec, target, tol, "state") is None:
+    w, v = eig_hermitian(observable)
+    if _tilt_support(start, w, v, target, tol, "state") is None:
         return 0.0, start
     f0 = expectation(start, observable) - target
     if abs(f0) <= tol:
         return 0.0, start
 
     def offset(lam: float) -> tuple[float, DensityOperator]:
-        state = _tilt(start, dec, lam)
+        state = _tilt(start, w, v, lam)
         return expectation(state, observable) - target, state
 
-    # double away from 0 on the side where the mean moves toward the target
-    cap = (EXP_ARGUMENT_LIMIT - 50.0) / (0.5 * float(np.ptp(dec.eigenvalues)))
-    a, fa, b = 0.0, f0, 1.0 if f0 > 0.0 else -1.0
+    # double away from 0 on the side where the mean moves toward the target,
+    # from 1 or, for a wide spectrum, from the cap
+    cap = (EXP_ARGUMENT_LIMIT - 50.0) / (0.5 * float(np.ptp(w)))
+    a, fa, b = 0.0, f0, min(1.0, cap) if f0 > 0.0 else -min(1.0, cap)
     while True:
         if abs(b) > cap:
             raise Infeasible(f"target {target!r} numerically at the boundary")

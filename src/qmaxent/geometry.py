@@ -2,8 +2,9 @@
 
 States live on the manifold of unit-trace positive operators; tangent
 vectors are traceless Hermitian operators and 1-forms are ordinary
-observables pairing with states through the trace.  The metric on a pair
-of 1-forms is the expectation of their symmetrized product,
+observables (``HermitianOperator``s too) pairing with states through the
+trace, <F, rho> = ``expectation(rho, F)``.  The metric on a pair of 1-forms
+is the expectation of their symmetrized product,
 
     g_rho(A, B) = < (AB + BA) / 2 >_rho = tr[A (rho B + B rho) / 2],
 
@@ -30,7 +31,6 @@ from .errors import DimMismatch, NotTraceless, SingularBase
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    SpectralDecomposition,
     _checked_real,
     eig_hermitian,
     expectation,
@@ -39,9 +39,7 @@ from .operators import (
 
 __all__ = [
     "FULL_RANK_FLOOR",
-    "OneForm",
     "TangentDecomposition",
-    "pair",
     "raise_form",
     "lower_vector",
     "metric_forms",
@@ -53,13 +51,6 @@ __all__ = [
 
 FULL_RANK_FLOOR = 1e-10
 TRACELESS_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class OneForm:
-    """A covariant direction: just an observable acting by tr(F rho)."""
-
-    value: HermitianOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,43 +80,29 @@ class TangentDecomposition:
         object.__setattr__(self, "dtheta", float(self.dtheta))
 
 
-def _form_value(form) -> HermitianOperator:
-    if isinstance(form, OneForm):
-        return form.value
-    if isinstance(form, HermitianOperator):
-        return form
-    raise TypeError(f"expected a OneForm or HermitianOperator, got {type(form).__name__}")
-
-
-def _full_rank_eig(state: DensityOperator) -> SpectralDecomposition:
-    dec = eig_hermitian(state)
-    if float(dec.eigenvalues[-1]) <= FULL_RANK_FLOOR:
+def _full_rank_eig(state: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    p, v = eig_hermitian(state)
+    if float(p[-1]) <= FULL_RANK_FLOOR:
         raise SingularBase(
-            f"state eigenvalue {dec.eigenvalues[-1]:.3e} at or below the "
+            f"state eigenvalue {p[-1]:.3e} at or below the "
             f"full-rank floor {FULL_RANK_FLOOR:.0e}"
         )
-    return dec
+    return p, v
 
 
-def pair(form, state: DensityOperator) -> float:
-    """Pairing <F, rho> = tr(F rho), i.e. the expectation of the form."""
-    return expectation(state, _form_value(form))
-
-
-def raise_form(state: DensityOperator, form) -> HermitianOperator:
+def raise_form(state: DensityOperator, form: HermitianOperator) -> HermitianOperator:
     """R_rho(B) = (rho B + B rho) / 2, mapping 1-forms to vector components.
 
     The result is Hermitian but generally not traceless: only zero-mean
     forms raise to tangent vectors.
     """
-    b = _form_value(form)
-    if state.dim != b.dim:
-        raise DimMismatch(f"state dim {state.dim} != form dim {b.dim}")
-    out = (state.entries @ b.entries + b.entries @ state.entries) / 2.0
+    if state.dim != form.dim:
+        raise DimMismatch(f"state dim {state.dim} != form dim {form.dim}")
+    out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
     return HermitianOperator(hermitian_part(out))
 
 
-def lower_vector(state: DensityOperator, vector: HermitianOperator) -> OneForm:
+def lower_vector(state: DensityOperator, vector: HermitianOperator) -> HermitianOperator:
     """L_rho(V): the unique X with rho X + X rho = 2 V, requiring full rank.
 
     In the eigenbasis of rho this is X_jk = 2 V_jk / (p_j + p_k); a
@@ -134,22 +111,18 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> OneForm:
     """
     if state.dim != vector.dim:
         raise DimMismatch(f"state dim {state.dim} != vector dim {vector.dim}")
-    dec = _full_rank_eig(state)
-    p = dec.eigenvalues
-    v = dec.eigenvectors
+    p, v = _full_rank_eig(state)
     tilde = v.conj().T @ vector.entries @ v
     tilde = 2.0 * tilde / (p[:, None] + p[None, :])
     out = v @ tilde @ v.conj().T
-    return OneForm(HermitianOperator(hermitian_part(out)))
+    return HermitianOperator(hermitian_part(out))
 
 
-def metric_forms(state: DensityOperator, a, b) -> float:
+def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
     """g_rho(A, B) = <(AB + BA)/2>: symmetric and bilinear in both slots."""
-    av = _form_value(a)
-    bv = _form_value(b)
-    if state.dim != av.dim or state.dim != bv.dim:
+    if state.dim != a.dim or state.dim != b.dim:
         raise DimMismatch("metric operands must share the state's dimension")
-    sym = hermitian_part(av.entries @ bv.entries + bv.entries @ av.entries) / 2.0
+    sym = hermitian_part(a.entries @ b.entries + b.entries @ a.entries) / 2.0
     value = complex(np.einsum("ij,ji->", state.entries, sym))
     return _checked_real(value, "metric value")
 
@@ -161,7 +134,7 @@ def metric_vectors(
     if state.dim != v.dim or state.dim != w.dim:
         raise DimMismatch("metric operands must share the state's dimension")
     lowered = lower_vector(state, v)
-    value = complex(np.einsum("ij,ji->", w.entries, lowered.value.entries))
+    value = complex(np.einsum("ij,ji->", w.entries, lowered.entries))
     return _checked_real(value, "metric value", tol=1e-10)
 
 
@@ -174,8 +147,7 @@ def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     """
     if state.dim != d.h.dim:
         raise DimMismatch(f"state dim {state.dim} != decomposition dim {d.h.dim}")
-    dec = _full_rank_eig(state)
-    p = dec.eigenvalues
+    p = _full_rank_eig(state)[0]
     classical = float((d.dp**2 / p).sum())
     diff = p[:, None] - p[None, :]
     rotation = float(
@@ -194,19 +166,17 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     """
     if state.dim != d.h.dim:
         raise DimMismatch(f"state dim {state.dim} != decomposition dim {d.h.dim}")
-    dec = eig_hermitian(state)
-    p = dec.eigenvalues
-    v = dec.eigenvectors
+    p, v = eig_hermitian(state)
     inner = np.diag(d.dp.astype(np.complex128))
     inner = inner + 1j * d.dtheta * (p[None, :] - p[:, None]) * d.h.entries
     out = v @ inner @ v.conj().T
     return HermitianOperator(hermitian_part(out))
 
 
-def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> OneForm:
+def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The observable recentered to zero mean: A - <A> 1."""
     if state.dim != observable.dim:
         raise DimMismatch(f"state dim {state.dim} != observable dim {observable.dim}")
     mean = expectation(state, observable)
     out = observable.entries - mean * np.eye(state.dim)
-    return OneForm(HermitianOperator(out))
+    return HermitianOperator(out)

@@ -2,8 +2,8 @@
 
 Everything in this package works on small dense complex matrices held in
 one fixed computational basis.  This module provides the two validated
-value types (Hermitian operators and density operators), spectral
-decomposition with a deterministic phase convention, spectral functions
+value types (Hermitian operators and density operators), eigendecomposition
+with a deterministic phase convention, spectral functions
 (exp, log), expectation values, and a couple of norms.
 
 All functions are pure and all values are immutable, so they can be
@@ -38,7 +38,6 @@ __all__ = [
     "IMAG_TOL",
     "HermitianOperator",
     "DensityOperator",
-    "SpectralDecomposition",
     "hermitian_part",
     "make_hermitian",
     "make_density",
@@ -116,14 +115,6 @@ class DensityOperator(HermitianOperator):
             )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending with a matching unitary of column eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def make_hermitian(raw) -> HermitianOperator:
     """Validate a raw complex square matrix as a Hermitian operator."""
     return HermitianOperator(np.asarray(raw))
@@ -134,8 +125,8 @@ def make_density(raw) -> DensityOperator:
     return DensityOperator(np.asarray(raw))
 
 
-def eig_hermitian(operator: HermitianOperator) -> SpectralDecomposition:
-    """Spectral decomposition with eigenvalues sorted descending.
+def eig_hermitian(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues sorted descending and the unitary of column eigenvectors, (w, V).
 
     The phase of each eigenvector is fixed deterministically: its
     largest-magnitude component is made real and positive.  This keeps
@@ -153,7 +144,7 @@ def eig_hermitian(operator: HermitianOperator) -> SpectralDecomposition:
     v = v * phases.conj()[None, :]
     w.setflags(write=False)
     v.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOperator:
@@ -166,8 +157,7 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
     """
     if f not in ("exp", "log"):
         raise ValueError(f"unknown spectral function tag {f!r}; expected 'exp' or 'log'")
-    dec = eig_hermitian(operator)
-    w = dec.eigenvalues
+    w, v = eig_hermitian(operator)
     if f == "exp":
         if float(w[0]) > EXP_ARGUMENT_LIMIT:
             raise Overflow(
@@ -183,19 +173,18 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
                 f"smallest is {smallest:.3e}"
             )
         values = np.log(w)
-    v = dec.eigenvectors
     out = (v * values) @ v.conj().T
     return HermitianOperator(hermitian_part(out))
 
 
-def _tilt(start: DensityOperator, dec: SpectralDecomposition, lam: float) -> DensityOperator:
-    """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem.
+def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> DensityOperator:
+    """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem (w, V).
 
     The exponent is shifted by its maximum, so only the normalization can
     fail, by underflow, which raises Overflow.
     """
-    expo = -0.5 * lam * dec.eigenvalues
-    half = (dec.eigenvectors * np.exp(expo - expo.max())) @ dec.eigenvectors.conj().T
+    expo = -0.5 * lam * w
+    half = (v * np.exp(expo - expo.max())) @ v.conj().T
     out = half @ start.entries @ half
     trace = float(np.trace(out).real)
     if not np.isfinite(trace) or trace <= 0.0:
@@ -204,7 +193,7 @@ def _tilt(start: DensityOperator, dec: SpectralDecomposition, lam: float) -> Den
 
 
 def _tilt_support(
-    start: DensityOperator, dec: SpectralDecomposition, target: float, tol: float, role: str
+    start: DensityOperator, w: np.ndarray, v: np.ndarray, target: float, tol: float, role: str
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues of A on the support of ``start`` and the weights ``start`` gives them.
 
@@ -213,14 +202,12 @@ def _tilt_support(
     constant on the support and ``target`` already equals that constant.
     ``role`` names the state in error messages.
     """
-    diag = np.einsum(
-        "ij,jk,ki->i", dec.eigenvectors.conj().T, start.entries, dec.eigenvectors
-    ).real
+    diag = np.einsum("ij,jk,ki->i", v.conj().T, start.entries, v).real
     d = np.maximum(diag, 0.0)
     support = d > SUPPORT_FLOOR
-    a_s = dec.eigenvalues[support]
+    a_s = w[support]
     lo, hi = float(a_s.min()), float(a_s.max())
-    if hi - lo <= SUPPORT_FLOOR * max(1.0, abs(hi)):
+    if hi - lo <= SUPPORT_FLOOR * max(abs(lo), abs(hi)):
         # observable is constant on the support: the mean never moves
         if abs(target - lo) <= tol:
             return None

@@ -27,7 +27,6 @@ from qmaxent import (
     make_density,
     make_hermitian,
     metric_vectors,
-    OneForm,
     raise_form,
     relative_entropy,
     solve_maxent,
@@ -201,9 +200,9 @@ def test_c07_raise_lower_inversion():
         vector = rand_hermitian(rng, n)
         recovered = raise_form(rho, lower_vector(rho, vector))
         worst = max(worst, float(np.abs(recovered.entries - vector.entries).max()))
-        form = OneForm(rand_hermitian(rng, n))
+        form = rand_hermitian(rng, n)
         back = lower_vector(rho, raise_form(rho, form))
-        worst = max(worst, float(np.abs(back.value.entries - form.value.entries).max()))
+        worst = max(worst, float(np.abs(back.entries - form.entries).max()))
     report(7, "raise/lower inversion", worst <= 1e-10, f"max deviation {worst:.2e}")
 
 
@@ -304,7 +303,7 @@ def test_c11_orthogonal_transit():
         rho0 = rand_density(rng, n, min_eig=0.05)
         trajectory = integrate_flow(rho0, a, 0.5, 1e-2)
         sample = trajectory.samples[int(rng.integers(0, len(trajectory.samples)))]
-        centered = zero_mean_form(sample.state, a).value.entries
+        centered = zero_mean_form(sample.state, a).entries
         tangent = zero_pairing_tangent(rng, n, centered)
         value = metric_vectors(sample.state, flow_field(sample.state, a), tangent)
         worst = max(worst, abs(value))
@@ -434,6 +433,20 @@ def test_c12_cli_contract(capsys, tmp_path):
             fuzz_ok = False
             print(f"fuzz case {i} returned unexpected exit code {code}")
             break
+
+    # fixed requests for the codes the random corpus does not reach
+    doc = json.loads(base)
+    doc["targets"] = [0.9, 0.9]  # jointly outside the Bloch ball
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    for argv, expected in (
+        (["estimate", "--problem", str(target)], 3),
+        (["estimate", "--problem", str(FIXTURES / "qubit_xz.json"), "--max-iter", "1"], 4),
+    ):
+        code = run(argv)
+        capsys.readouterr()
+        observed.add(code)
+        fuzz_ok = fuzz_ok and code == expected
+    fuzz_ok = fuzz_ok and {0, 2, 3, 4} <= observed
 
     ok = deterministic and exit_codes_ok and fuzz_ok
     report(

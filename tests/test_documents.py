@@ -34,11 +34,6 @@ def test_density_round_trip_is_bit_exact(rng):
         assert np.array_equal(back.entries, rho.entries)
 
 
-def test_label_preserved():
-    doc = operator_to_document(make_density(np.eye(2) / 2), label="uniform")
-    assert doc["label"] == "uniform"
-
-
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -102,9 +97,6 @@ class TestProblemDocument:
         assert problem_from_document(
             self.problem(mode="metric", n_obs=2, n_targets=0)
         ).mode == "metric"
-        assert problem_from_document(
-            self.problem(mode="entropy", n_obs=0, n_targets=0)
-        ).mode == "entropy"
 
     def test_unknown_mode(self):
         with pytest.raises(InputValidationError):

@@ -198,7 +198,7 @@ class TestOrthogonalTransit:
             rho0 = rand_density(rng, n, min_eig=0.05)
             traj = integrate_flow(rho0, a, 0.5, 1e-2)
             sample = traj.samples[int(rng.integers(0, len(traj.samples)))]
-            centered = zero_mean_form(sample.state, a).value.entries
+            centered = zero_mean_form(sample.state, a).entries
             tangent = zero_pairing_tangent(rng, n, centered)
             value = metric_vectors(sample.state, flow_field(sample.state, a), tangent)
             assert abs(value) <= 1e-10
@@ -245,6 +245,14 @@ class TestFlowToConstraint:
         assert lam_g == pytest.approx(np.log(9.0), abs=1e-9)
         assert trace_distance(state_v, state_g) <= 1e-10
         assert expectation(closed_form_flow(UNIFORM, a, 2.2), a) < 1000.1
+
+    @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
+    def test_routes_are_scale_free(self, route):
+        prior = make_density((np.eye(2) + 0.5 * SIGMA_X) / 2)
+        unit, _ = route(prior, SZ, 0.6, tol=1e-10)
+        for s in (1e-15, 1e-7, 1.0, 1e3):
+            lam, _ = route(prior, make_hermitian(s * SIGMA_Z), s * 0.6, tol=1e-10 * s)
+            assert abs(lam * s - unit) <= 1e-8
 
     def test_one_eigendecomposition_per_call(self, rng, eig_calls):
         prior = rand_density(rng, 4, min_eig=0.05)

@@ -6,17 +6,16 @@ import pytest
 from qmaxent import (
     DimMismatch,
     NotTraceless,
-    OneForm,
     SingularBase,
     TangentDecomposition,
     assemble_tangent,
+    expectation,
     line_element,
     lower_vector,
     make_density,
     make_hermitian,
     metric_forms,
     metric_vectors,
-    pair,
     raise_form,
     zero_mean_form,
 )
@@ -43,35 +42,35 @@ class TestTypes:
 class TestPair:
     def test_identity_form(self, rng):
         rho = rand_density(rng, 4)
-        assert pair(OneForm(make_hermitian(np.eye(4))), rho) == pytest.approx(1.0, abs=1e-14)
+        assert expectation(rho, make_hermitian(np.eye(4))) == pytest.approx(1.0, abs=1e-14)
 
     def test_as_expectation(self):
-        assert pair(OneForm(SZ), DIAG82) == pytest.approx(0.6, abs=1e-15)
+        assert expectation(DIAG82, SZ) == pytest.approx(0.6, abs=1e-15)
 
     def test_zero_mean_case(self):
-        assert pair(OneForm(SX), UNIFORM) == 0.0
+        assert expectation(UNIFORM, SX) == 0.0
 
 
 class TestRaiseLower:
     def test_raise_uniform_halves(self):
-        out = raise_form(UNIFORM, OneForm(SX))
+        out = raise_form(UNIFORM, SX)
         assert np.allclose(out.entries, SIGMA_X / 2)
 
     def test_raise_off_diagonal_average(self):
-        out = raise_form(DIAG82, OneForm(SX))
+        out = raise_form(DIAG82, SX)
         assert np.allclose(out.entries, np.array([[0.0, 0.5], [0.5, 0.0]]))
 
     def test_raise_linearity_zero(self):
-        out = raise_form(DIAG82, OneForm(make_hermitian(np.zeros((2, 2)))))
+        out = raise_form(DIAG82, make_hermitian(np.zeros((2, 2))))
         assert np.all(out.entries == 0.0)
 
     def test_lower_uniform_doubles(self):
         out = lower_vector(UNIFORM, SX)
-        assert np.allclose(out.value.entries, 2.0 * SIGMA_X)
+        assert np.allclose(out.entries, 2.0 * SIGMA_X)
 
     def test_lower_off_diagonal_denominator(self):
         out = lower_vector(DIAG82, SX)
-        assert np.allclose(out.value.entries, 2.0 * SIGMA_X, atol=1e-13)
+        assert np.allclose(out.entries, 2.0 * SIGMA_X, atol=1e-13)
 
     def test_lower_rejects_pure_state(self):
         with pytest.raises(SingularBase):
@@ -86,17 +85,17 @@ class TestRaiseLower:
                 np.abs(raise_form(rho, lower_vector(rho, vec)).entries - vec.entries).max()
                 <= 1e-10
             )
-            form = OneForm(rand_hermitian(rng, n))
+            form = rand_hermitian(rng, n)
             back = lower_vector(rho, raise_form(rho, form))
-            assert np.abs(back.value.entries - form.value.entries).max() <= 1e-10
+            assert np.abs(back.entries - form.entries).max() <= 1e-10
 
 
 class TestMetric:
     def test_forms_examples(self):
-        assert metric_forms(UNIFORM, OneForm(SX), OneForm(SX)) == pytest.approx(1.0, abs=1e-14)
-        one = OneForm(make_hermitian(np.eye(2)))
+        assert metric_forms(UNIFORM, SX, SX) == pytest.approx(1.0, abs=1e-14)
+        one = make_hermitian(np.eye(2))
         assert metric_forms(DIAG82, one, one) == pytest.approx(1.0, abs=1e-14)
-        assert metric_forms(UNIFORM, OneForm(SX), OneForm(SZ)) == pytest.approx(0.0, abs=1e-14)
+        assert metric_forms(UNIFORM, SX, SZ) == pytest.approx(0.0, abs=1e-14)
 
     def test_vectors_example(self):
         assert metric_vectors(UNIFORM, SX, SX) == pytest.approx(4.0, abs=1e-12)
@@ -104,18 +103,18 @@ class TestMetric:
         assert metric_vectors(UNIFORM, zero, SX) == 0.0
 
     def test_duality(self):
-        raised = raise_form(UNIFORM, OneForm(SX))
+        raised = raise_form(UNIFORM, SX)
         assert metric_vectors(UNIFORM, raised, raised) == pytest.approx(
-            metric_forms(UNIFORM, OneForm(SX), OneForm(SX)), abs=1e-12
+            metric_forms(UNIFORM, SX, SX), abs=1e-12
         )
 
     def test_forms_equals_trace_against_raised(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
             rho = rand_density(rng, n)
-            a, b = OneForm(rand_hermitian(rng, n)), OneForm(rand_hermitian(rng, n))
+            a, b = rand_hermitian(rng, n), rand_hermitian(rng, n)
             direct = metric_forms(rho, a, b)
-            via_raise = np.trace(a.value.entries @ raise_form(rho, b).entries).real
+            via_raise = np.trace(a.entries @ raise_form(rho, b).entries).real
             assert abs(direct - via_raise) <= 1e-12
 
     def test_symmetry_and_bilinearity(self, rng):
@@ -124,15 +123,10 @@ class TestMetric:
             rho = rand_density(rng, n)
             a, b, c = (rand_hermitian(rng, n) for _ in range(3))
             alpha, beta = rng.normal(), rng.normal()
-            assert abs(
-                metric_forms(rho, OneForm(a), OneForm(b))
-                - metric_forms(rho, OneForm(b), OneForm(a))
-            ) <= 1e-12
+            assert abs(metric_forms(rho, a, b) - metric_forms(rho, b, a)) <= 1e-12
             combo = make_hermitian(alpha * a.entries + beta * c.entries)
-            lhs = metric_forms(rho, OneForm(combo), OneForm(b))
-            rhs = alpha * metric_forms(rho, OneForm(a), OneForm(b)) + beta * metric_forms(
-                rho, OneForm(c), OneForm(b)
-            )
+            lhs = metric_forms(rho, combo, b)
+            rhs = alpha * metric_forms(rho, a, b) + beta * metric_forms(rho, c, b)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_vector_metric_positive_definite(self, rng):
@@ -148,7 +142,7 @@ class TestMetric:
         for _ in range(100):
             n = int(rng.integers(2, 9))
             rho = rand_density(rng, n, min_eig=0.02)
-            a, b = OneForm(rand_hermitian(rng, n)), OneForm(rand_hermitian(rng, n))
+            a, b = rand_hermitian(rng, n), rand_hermitian(rng, n)
             lhs = metric_vectors(rho, raise_form(rho, a), raise_form(rho, b))
             rhs = metric_forms(rho, a, b)
             assert abs(lhs - rhs) <= 1e-10
@@ -183,23 +177,23 @@ class TestLineElement:
 class TestZeroMeanForm:
     def test_already_centered(self):
         out = zero_mean_form(UNIFORM, SZ)
-        assert np.allclose(out.value.entries, SIGMA_Z)
+        assert np.allclose(out.entries, SIGMA_Z)
 
     def test_subtracts_mean(self):
         out = zero_mean_form(DIAG82, SZ)
-        assert np.allclose(out.value.entries, SIGMA_Z - 0.6 * np.eye(2))
+        assert np.allclose(out.entries, SIGMA_Z - 0.6 * np.eye(2))
 
     def test_identity_becomes_zero(self, rng):
         rho = rand_density(rng, 3)
         out = zero_mean_form(rho, make_hermitian(np.eye(3)))
-        assert np.abs(out.value.entries).max() <= 1e-15
+        assert np.abs(out.entries).max() <= 1e-15
 
     def test_pairing_vanishes_random(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
             rho = rand_density(rng, n)
             form = zero_mean_form(rho, rand_hermitian(rng, n))
-            assert abs(pair(form, rho)) <= 1e-12
+            assert abs(expectation(rho, form)) <= 1e-12
 
 
 def test_orthogonality_of_raised_zero_mean_form(rng):
@@ -210,6 +204,6 @@ def test_orthogonality_of_raised_zero_mean_form(rng):
         rho = rand_density(rng, n, min_eig=0.02)
         obs = rand_hermitian(rng, n)
         delta = zero_mean_form(rho, obs)
-        tangent = zero_pairing_tangent(rng, n, delta.value.entries)
+        tangent = zero_pairing_tangent(rng, n, delta.entries)
         value = metric_vectors(rho, raise_form(rho, delta), tangent)
         assert abs(value) <= 1e-10

@@ -433,6 +433,25 @@ class TestSolveMaxEnt:
         with pytest.raises(Infeasible):
             solve_maxent(ConstraintSet((SX, SZ), [0.9, 0.9]))
 
+    # a small observable needs a large multiplier; only the dual value can refuse a target
+    def test_small_observable_beside_a_unit_one(self):
+        unit = solve_maxent(ConstraintSet((SX, make_hermitian(SIGMA_Y)), [0.3, 0.4]))
+        small = make_hermitian(1e-7 * SIGMA_Y)
+        sol = solve_maxent(ConstraintSet((SX, small), [0.3, 0.4e-7]))
+        assert sol.multipliers * [1.0, 1e-7] == pytest.approx(unit.multipliers, rel=1e-6)
+
+    def test_small_single_observable(self):
+        cs = ConstraintSet((make_hermitian(1e-5 * SIGMA_Z),), [0.6e-5])
+        sol = solve_maxent(cs, tol=1e-16)
+        assert sol.multipliers[0] * 1e-5 == pytest.approx(-np.arctanh(0.6), abs=1e-8)
+
+    def test_target_near_a_small_spectral_gap(self):
+        a = make_hermitian(np.diag([0.0, 1e-3, 1.0]))
+        sol = solve_maxent(ConstraintSet((a,), [4.5e-8]), tol=1e-18)
+        lam, _ = solve_prior_tilt(make_density(np.eye(3) / 3), a, 4.5e-8, tol=1e-18)
+        assert sol.residual <= 1e-18
+        assert sol.multipliers[0] == pytest.approx(lam, rel=1e-8)
+
     def test_random_instances_residual(self, rng):
         for _ in range(60):
             sol = solve_maxent(random_feasible_instance(rng))
