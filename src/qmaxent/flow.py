@@ -208,8 +208,10 @@ def flow_to_constraint(
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
     w, v = eig_hermitian(observable)
-    if _tilt_support(start, w, v, target, tol, "state") is None:
+    support = _tilt_support(start, w, v, target, tol, "state")
+    if support is None:
         return 0.0, start
+    spread = float(np.ptp(support[0]))
     f0 = expectation(start, observable) - target
     if abs(f0) <= tol:
         return 0.0, start
@@ -218,14 +220,17 @@ def flow_to_constraint(
         state = _tilt(start, w, v, lam)
         return expectation(state, observable) - target, state
 
-    # double away from 0 on the side where the mean moves toward the target,
-    # from 1 or, for a wide spectrum, from the cap
-    cap = (EXP_ARGUMENT_LIMIT - 50.0) / (0.5 * float(np.ptp(w)))
-    a, fa, b = 0.0, f0, min(1.0, cap) if f0 > 0.0 else -min(1.0, cap)
+    # the mean saturates at an end of the support, which lies strictly past the
+    # target: double away from 0 on the side where the mean moves toward it
+    boundary = f"target {target!r} numerically at the boundary"
+    a, fa, b = 0.0, f0, 1.0 if f0 > 0.0 else -1.0
     while True:
-        if abs(b) > cap:
-            raise Infeasible(f"target {target!r} numerically at the boundary")
-        fb, state = offset(b)
+        if not np.isfinite(b * spread):
+            raise Infeasible(boundary)
+        try:
+            fb, state = offset(b)
+        except Overflow as exc:
+            raise Infeasible(boundary) from exc
         if fb * f0 <= 0.0:
             break
         a, fa, b = b, fb, 2.0 * b

@@ -14,14 +14,20 @@ metric at rho(lam).  ``solve_maxent`` runs Newton's method with Armijo
 backtracking from lam = 0 (the uniform state), solving each Newton system by
 conjugate gradients on Hessian-vector products, which need no eigendecomposition
 beyond the dual evaluation's own.  They are preconditioned with n Gram^-1
-(Gram of the traceless parts), the exact inverse Hessian at I/n.  Every state
-meeting the targets has entropy between 0 and value(lam), for any lam (weak
-duality), so a negative value proves the targets jointly unreachable.
+(Gram of the traceless parts), the exact inverse Hessian at I/n, and stop once
+the linearized gradient is within a tenth of the tolerance.  The line search
+also accepts a step whose gradient already meets the tolerance: that close to
+the optimum, rounding in the dual value can outweigh the Armijo decrease.  The
+entropy of the estimate comes from the spectrum of the last dual evaluation.
+Every state meeting the targets has entropy between 0 and value(lam), for any
+lam (weak duality), so a negative value proves the targets jointly unreachable.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 ``ConstraintSet`` runs eigvalsh only on targets outside that inner range or
-within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.
+within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  Its
+independence check then scales its one stack of entries in place, in real
+arithmetic, and copies the entries back before the stack is frozen.
 
 The state, log Z, the dual value and its gradient come from one shifted
 eigendecomposition of sum_k lam_k A_k and need no overflow guard; only
@@ -63,9 +69,8 @@ from .operators import (
     _tilt,
     _tilt_support,
     eig_hermitian,
-    hermitian_part,
 )
-from .entropy import von_neumann_entropy
+from .entropy import _entropy_of_spectrum
 
 __all__ = [
     "ConstraintSet",
@@ -124,7 +129,6 @@ class ConstraintSet:
         if dim is None:
             raise DimMismatch("dimension required when no observables are given")
         stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
-        stacked.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
             uncertain = self._uncertain(stacked, targets)
         boundary = None
@@ -139,6 +143,9 @@ class ConstraintSet:
                     "the multiplier would diverge"
                 )
         gram = self._check_independent(stacked, dim)
+        for k, a in enumerate(observables):  # the check scaled the stack in place
+            stacked[k] = a.entries
+        stacked.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
@@ -172,14 +179,17 @@ class ConstraintSet:
         """Gram matrix G of the traceless parts, after a scale-free independence check.
 
         The check reads D^-1/2 G D^-1/2, D = diag G, built from each observable
-        scaled to unit peak entry, so it neither overflows nor underflows.
+        scaled to unit peak entry, so it neither overflows nor underflows.  The
+        scaling divides ``stacked`` in place, which the caller restores.  G is
+        refused when it, or the preconditioner n G^-1 of ``solve_maxent``, is not
+        finite.
         """
-        flat = stacked.reshape(-1, dim * dim)
-        peaks = np.maximum(flat.view(np.float64).max(axis=1), -flat.view(np.float64).min(axis=1))
-        flat = flat / np.where(peaks > 0.0, peaks, 1.0)[:, None]
-        flat[:, :: dim + 1] -= flat[:, :: dim + 1].real.mean(axis=1)[:, None]
         # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y
-        parts = flat.view(np.float64)
+        parts = stacked.reshape(-1, dim * dim).view(np.float64)
+        peaks = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+        parts /= np.where(peaks > 0.0, peaks, 1.0)[:, None]
+        diagonal = parts[:, :: 2 * (dim + 1)]
+        diagonal -= diagonal.mean(axis=1)[:, None]
         inner = parts @ parts.T
         norms = np.sqrt(inner.diagonal())
         if not norms.all():
@@ -197,6 +207,15 @@ class ConstraintSet:
             gram = inner * peaks[:, None] * peaks[None, :]
         if not np.isfinite(gram).all():
             raise InputValidationError("observables too large: their Gram matrix overflows")
+        try:
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(dim * np.linalg.inv(gram)).all()
+        except np.linalg.LinAlgError:  # underflowed to an exactly singular matrix
+            finite = False
+        if not finite:
+            raise InputValidationError(
+                "observables too small: the inverse of their Gram matrix overflows"
+            )
         return gram
 
     @property
@@ -241,26 +260,35 @@ def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.stack([a.entries for a in observables])
 
 
+def _aggregate(lam: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """sum_k lam_k A_k, one matrix-vector product with the flattened stack."""
+    n = stacked.shape[-1]
+    return (lam @ stacked.reshape(-1, n * n)).reshape(n, n)
+
+
 def _eig_aggregate(lam: np.ndarray, stacked: np.ndarray):
-    aggregate = np.tensordot(lam, stacked, axes=1)
     try:
-        return np.linalg.eigh(aggregate)
+        return np.linalg.eigh(_aggregate(lam, stacked))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-W)/tr(exp(-W)) and its eigenvalues, from the eigensystem of W; stable under shifts."""
+    """exp(-W)/tr(exp(-W)) and its eigenvalues, from the eigensystem of W; stable under shifts.
+
+    The state is Hermitian up to rounding, which leaves Re tr(rho A) unchanged;
+    DensityOperator symmetrizes it.
+    """
     u = -w
     q = np.exp(u - u.max())
     q /= q.sum()
-    return hermitian_part((v * q) @ v.conj().T), q
+    return (v * q) @ v.conj().T, q
 
 
 def partition_function(multipliers, observables) -> float:
     """Z = tr exp(-sum_k lam_k A_k), unshifted: a spectral radius above 700 raises Overflow."""
     lam, stacked = _validated_pair(multipliers, observables)
-    w = np.linalg.eigvalsh(np.tensordot(lam, stacked, axes=1))
+    w = np.linalg.eigvalsh(_aggregate(lam, stacked))
     radius = float(np.abs(w).max())
     if radius > EXP_ARGUMENT_LIMIT:
         raise Overflow(
@@ -298,11 +326,12 @@ def _kubo_mori_product(stacked, achieved, w, v, p):
     phi = np.ones_like(gap)
     np.divide(-np.expm1(-gap), gap, out=phi, where=gap > 0.0)
     kernel = np.maximum(p[:, None], p[None, :]) * phi
-    flat, vh = stacked.reshape(len(stacked), gap.size), v.conj().T
+    flat, vh, vc, vt = stacked.reshape(len(stacked), gap.size), v.conj().T, v.conj(), v.T
 
     def product(x: np.ndarray) -> np.ndarray:
-        y = v @ (kernel * (vh @ (x @ flat).reshape(gap.shape) @ v)) @ vh
-        return (flat @ y.conj().ravel()).real - achieved * float(achieved @ x)
+        # conj(Y) = conj(V) (K o M)^T V^T with Y = V (K o M) V^dag, M = V^dag X V Hermitian
+        y_conj = vc @ (kernel * (vh @ (x @ flat).reshape(gap.shape) @ v)).T @ vt
+        return (flat @ y_conj.ravel()).real - achieved * float(achieved @ x)
 
     return product
 
@@ -318,12 +347,15 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     return value, gradient
 
 
-def _newton_direction(hessian, gradient: np.ndarray, precond: np.ndarray) -> np.ndarray:
+def _newton_direction(
+    hessian, gradient: np.ndarray, precond: np.ndarray, tol: float
+) -> np.ndarray:
     """H d = -g by at most m conjugate-gradient steps from d = 0, preconditioned with P.
 
     Stops when ||r||_P <= eta ||g||_P, eta = min(0.5, ||g||_P) (Eisenstat-Walker, in the
-    P-norm so the stop ignores how observables are scaled), or at non-positive
-    curvature with the last iterate, or -P g if there is none.
+    P-norm so the stop ignores how observables are scaled), once the linearized
+    gradient g + H d = -r is within the solver's tolerance (max|r| <= tol / 10),
+    or at non-positive curvature with the last iterate, or -P g if there is none.
     """
     r, d = -gradient, np.zeros_like(gradient)  # residual, direction
     s = z = precond @ r  # search direction, preconditioned residual
@@ -338,7 +370,7 @@ def _newton_direction(hessian, gradient: np.ndarray, precond: np.ndarray) -> np.
         d, r = d + alpha * s, r - alpha * hs
         z = precond @ r
         rz, previous = float(r @ z), rz
-        if rz <= stop:
+        if rz <= stop or abs(r).max() <= 0.1 * tol:
             break
         s = z + (rz / previous) * s
     return d
@@ -351,8 +383,11 @@ def solve_maxent(
 
     Minimizes the convex dual by Newton's method with Armijo backtracking
     (shrink 0.5, slope 1e-4) from lam = 0, each step solved by conjugate
-    gradients on the exact Hessian, preconditioned with its inverse at 0.
-    Convergence means the largest constraint violation is at most ``tol``.
+    gradients on the exact Hessian, preconditioned with its inverse at 0 and
+    stopped once the linearized constraint violation is at most ``tol / 10``.
+    A trial step is accepted when it meets the Armijo rule or when its
+    largest constraint violation is already at most ``tol``, which is
+    convergence.
     Targets on or outside the boundary of the achievable set are reported as
     Infeasible, either up front (target on the spectral boundary) or by weak
     duality: every state meeting the targets has 0 <= S <= log Z + lam . t, so
@@ -382,7 +417,7 @@ def solve_maxent(
                 "state meeting the targets from above; the targets are jointly unreachable"
             )
         hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
-        direction = _newton_direction(hessian, gradient, precond)
+        direction = _newton_direction(hessian, gradient, precond, tol)
         slope = float(gradient @ direction)
         # small cushion absorbs ties at the resolution of the dual value
         cushion = 1e-14 * max(1.0, abs(value))
@@ -391,6 +426,9 @@ def solve_maxent(
             trial = lam + t * direction
             point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z, eig
             if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion:
+                break
+            # near the optimum the value's rounding can exceed the cushion
+            if abs(point[1]).max() <= tol:
                 break
             t *= ARMIJO_SHRINK
             if t < 1e-20:
@@ -410,7 +448,7 @@ def solve_maxent(
         lambda0=log_z,
         estimate=estimate,
         achieved=achieved,
-        s_max=von_neumann_entropy(estimate),
+        s_max=_entropy_of_spectrum(eig[2]),
         iterations=iterations,
         residual=residual,
     )

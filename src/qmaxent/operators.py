@@ -177,14 +177,23 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
     return HermitianOperator(hermitian_part(out))
 
 
+def _weights(start: DensityOperator, v: np.ndarray) -> np.ndarray:
+    """The diagonal of ``start`` in the basis of V's columns."""
+    return np.einsum("ij,jk,ki->i", v.conj().T, start.entries, v).real
+
+
 def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> DensityOperator:
     """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem (w, V).
 
-    The exponent is shifted by its maximum, so only the normalization can
-    fail, by underflow, which raises Overflow.
+    Only eigenvectors on the support of rho0 (weight above ``SUPPORT_FLOOR``)
+    keep their factor, and the exponent is shifted by its maximum over them,
+    so only the normalization can fail, by underflow, which raises Overflow.
     """
-    expo = -0.5 * lam * w
-    half = (v * np.exp(expo - expo.max())) @ v.conj().T
+    support = _weights(start, v) > SUPPORT_FLOOR
+    expo = -0.5 * lam * w[support]
+    factors = np.zeros(w.shape)
+    factors[support] = np.exp(expo - expo.max())
+    half = (v * factors) @ v.conj().T
     out = half @ start.entries @ half
     trace = float(np.trace(out).real)
     if not np.isfinite(trace) or trace <= 0.0:
@@ -202,8 +211,7 @@ def _tilt_support(
     constant on the support and ``target`` already equals that constant.
     ``role`` names the state in error messages.
     """
-    diag = np.einsum("ij,jk,ki->i", v.conj().T, start.entries, v).real
-    d = np.maximum(diag, 0.0)
+    d = np.maximum(_weights(start, v), 0.0)
     support = d > SUPPORT_FLOOR
     a_s = w[support]
     lo, hi = float(a_s.min()), float(a_s.max())

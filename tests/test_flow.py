@@ -246,6 +246,28 @@ class TestFlowToConstraint:
         assert trace_distance(state_v, state_g) <= 1e-10
         assert expectation(closed_form_flow(UNIFORM, a, 2.2), a) < 1000.1
 
+    @pytest.mark.parametrize("prior", [np.eye(3) / 3, np.diag([0.5, 0.5, 0.0])])
+    def test_target_near_a_small_spectral_gap(self, prior):
+        # lam ~ 5293: past any cap on lam times the spread of the whole spectrum
+        prior, a = make_density(prior), make_hermitian(np.diag([0.0, 1e-3, 1.0]))
+        lam_v, state_v = solve_prior_tilt(prior, a, 5e-6, tol=1e-14)
+        lam_g, state_g = flow_to_constraint(prior, a, 5e-6, tol=1e-14)
+        assert lam_v == pytest.approx(5293.3, rel=1e-4)
+        assert lam_g == pytest.approx(lam_v, rel=1e-8)
+        assert trace_distance(state_v, state_g) <= 1e-10
+
+    def test_exponent_shifted_over_the_support(self):
+        # shifted over the whole spectrum, the factor of eigenvalue 0, outside the
+        # support, dominates and the support's factors underflow at lam ~ 7e6
+        prior = make_density(np.diag([0.0, 0.5, 0.5]))
+        a = make_hermitian(np.diag([0.0, 1.0, 1.0 + 1e-6]))
+        lam_v, state_v = solve_prior_tilt(prior, a, 1.0 + 1e-9, tol=1e-14)
+        lam_g, state_g = flow_to_constraint(prior, a, 1.0 + 1e-9, tol=1e-14)
+        assert lam_v == pytest.approx(6.9e6, rel=1e-2)
+        assert lam_g == pytest.approx(lam_v, rel=1e-6)
+        assert trace_distance(state_v, state_g) <= 1e-9
+        assert abs(expectation(state_g, a) - (1.0 + 1e-9)) <= 1e-14
+
     @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
     def test_routes_are_scale_free(self, route):
         prior = make_density((np.eye(2) + 0.5 * SIGMA_X) / 2)

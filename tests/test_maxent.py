@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,6 +149,39 @@ class TestConstraintSet:
                 with pytest.raises(InputValidationError, match="overflows") as caught:
                     ConstraintSet(tuple(observables), [0.0] * len(observables))
             assert type(caught.value) is InputValidationError
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gram_underflow_is_an_input_error(self):
+        # (s sigma_x, sigma_z): Gram diag(2 s^2, 2), so n Gram^-1 overflows below s ~ 1e-154
+        small = make_hermitian(1e-154 * SIGMA_X)
+        sol = solve_maxent(ConstraintSet((small, SZ), [0.3e-154, 0.4]))
+        expected = [-0.6 * ARTANH_HALF, -0.8 * ARTANH_HALF]
+        assert sol.multipliers * [1e-154, 1.0] == pytest.approx(expected)
+        for s in (1e-155, 1e-160, 1e-170, 1e-300, 1e-320):
+            with pytest.raises(InputValidationError, match="too small") as caught:
+                ConstraintSet((make_hermitian(s * SIGMA_X), SZ), [0.3 * s, 0.4])
+            assert type(caught.value) is InputValidationError
+
+    def test_stack_is_the_entries(self, rng):
+        # the independence check scales the stack in place before restoring it
+        observables = tuple(rand_hermitian(rng, 5, scale) for scale in (1e-150, 1.0, 1e150))
+        cs = ConstraintSet(observables, [np.trace(a.entries).real / 5 for a in observables])
+        assert not cs._stacked.flags.writeable
+        for k, a in enumerate(observables):
+            assert cs._stacked[k].tobytes() == a.entries.tobytes()
+
+    def test_one_constraint_buffer(self, rng):
+        observables = tuple(rand_hermitian_radius(rng, 32, 1.0) for _ in range(30))
+        state = gibbs_state(rng.normal(0.0, 0.5, size=30), observables)
+        targets = [expectation(state, a) for a in observables]
+        tracemalloc.start()
+        try:
+            cs = ConstraintSet(observables, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a scaled copy of the stack for the independence check would double it
+        assert peak <= 1.25 * cs._stacked.nbytes
 
     def test_eigvalsh_only_for_uncertain_targets(self, rng, eig_calls):
         observables = tuple(rand_hermitian(rng, 4) for _ in range(3))
@@ -398,8 +432,33 @@ class TestSolveMaxEnt:
             counts.append(eig_calls["eigvalsh"])
             # one eigh per dual evaluation; the estimate reuses the last accepted one
             assert eig_calls["eigh"] == len(evaluations)
-        # the estimate's positivity check and its entropy, whatever m is
-        assert counts == [2, 2]
+        # the estimate's positivity check, whatever m is; s_max reuses the dual's spectrum
+        assert counts == [1, 1]
+
+    def test_conjugate_gradients_stop_at_the_tolerance(self, rng, monkeypatch):
+        dual_point, kubo_mori = qmaxent.maxent._dual_point, qmaxent.maxent._kubo_mori_product
+        counts = {"evaluations": 0, "products": 0}
+
+        def counted_product(*args):
+            product = kubo_mori(*args)
+
+            def counted(x):
+                counts["products"] += 1
+                return product(x)
+
+            return counted
+
+        def counted_point(*args):
+            counts["evaluations"] += 1
+            return dual_point(*args)
+
+        monkeypatch.setattr(qmaxent.maxent, "_kubo_mori_product", counted_product)
+        monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
+        for _ in range(4):
+            solve_maxent(gibbs_instance(rng, 16, 20, 0.5))
+        # CG run to its relative stop alone takes 78 products over the same 23 evaluations
+        assert counts["evaluations"] == 23
+        assert counts["products"] < 78
 
     def test_iterations_at_moderate_scale(self, rng):
         # from the identity, BFGS needs 29 or more iterations on these sizes
@@ -424,6 +483,16 @@ class TestSolveMaxEnt:
         # constraint's residual is 1e3 (1e-3) times the original one
         assert base.iterations <= solved[1e3] <= tight
         assert base.iterations - 1 <= solved[1e-3] <= base.iterations
+
+    def test_converged_trial_accepted_despite_rounding(self):
+        # low temperature: at dual evaluation 13 the residual is 5e-15, yet the dual value's
+        # rounding (~4e-14) exceeds the Armijo cushion, so that rule alone rejects it
+        rng = np.random.default_rng(np.random.SeedSequence(105).spawn(60)[43])
+        observables = tuple(rand_hermitian(rng, 6) for _ in range(4))
+        state = gibbs_state(rng.normal(0.0, 6.0, size=4), observables)
+        targets = [expectation(state, a) for a in observables]
+        sol = solve_maxent(ConstraintSet(observables, targets))
+        assert sol.residual <= 1e-10 and sol.iterations < 30
 
     def test_boundary_target_infeasible(self):
         with pytest.raises(Infeasible):
