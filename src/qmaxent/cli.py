@@ -32,7 +32,7 @@ from .errors import (
 from .flow import integrate_flow
 from .geometry import metric_forms
 from .maxent import ConstraintSet, solve_maxent, solve_prior_tilt
-from .operators import expectation
+from .operators import _check_controls, expectation
 
 __all__ = ["run", "main"]
 
@@ -109,12 +109,8 @@ def _load_json(path: str):
 
 
 def _check_flags(args) -> None:
-    if "tol" not in args:  # only the solving subcommands take --tol and --max-iter
-        return
-    if not (np.isfinite(args.tol) and args.tol > 0.0):
-        raise InputValidationError(f"--tol must be positive and finite, got {args.tol!r}")
-    if args.max_iter < 1:
-        raise InputValidationError(f"--max-iter must be at least 1, got {args.max_iter!r}")
+    if "tol" in args:  # only the solving subcommands take --tol and --max-iter
+        _check_controls(args.tol, args.max_iter)
 
 
 def _require_mode(problem, expected: str) -> None:

@@ -96,7 +96,7 @@ class SupportViolation(NumericalFailure):
 
 
 class Overflow(NumericalFailure):
-    """Exponent magnitude would overflow double precision."""
+    """A returned value would not be finite in double precision."""
 
 
 class SingularBase(NumericalFailure):

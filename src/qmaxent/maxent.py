@@ -19,8 +19,10 @@ the linearized gradient is within a tenth of the tolerance.  The line search
 also accepts a step whose gradient already meets the tolerance: that close to
 the optimum, rounding in the dual value can outweigh the Armijo decrease.  The
 entropy of the estimate comes from the spectrum of the last dual evaluation.
-Every state meeting the targets has entropy between 0 and value(lam), for any
-lam (weak duality), so a negative value proves the targets jointly unreachable.
+Every state has tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue,
+and one meeting the targets has it equal to lam . t, so lam . t < w_min (a
+separating hyperplane) proves the targets jointly unreachable; log Z >= -w_min,
+so this fires wherever the dual value is negative, and sooner.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
@@ -30,8 +32,8 @@ independence check then scales its one stack of entries in place, in real
 arithmetic, and copies the entries back before the stack is frozen.
 
 The state, log Z, the dual value and its gradient come from one shifted
-eigendecomposition of sum_k lam_k A_k and need no overflow guard; only
-``partition_function``, which returns Z unshifted, guards the exponent.
+eigendecomposition of sum_k lam_k A_k and need no overflow guard; so does log Z
+in ``partition_function``, which raises Overflow only when Z is not finite.
 
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
@@ -63,9 +65,9 @@ from .errors import (
     Overflow,
 )
 from .operators import (
-    EXP_ARGUMENT_LIMIT,
     DensityOperator,
     HermitianOperator,
+    _check_controls,
     _tilt,
     _tilt_support,
     eig_hermitian,
@@ -142,7 +144,7 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range {span}; "
                     "the multiplier would diverge"
                 )
-        gram = self._check_independent(stacked, dim)
+        precond = self._check_independent(stacked, dim)
         for k, a in enumerate(observables):  # the check scaled the stack in place
             stacked[k] = a.entries
         stacked.setflags(write=False)
@@ -152,10 +154,10 @@ class ConstraintSet:
         object.__setattr__(self, "dim", int(dim))
         # the first boundary target's refusal, raised by solve_maxent
         object.__setattr__(self, "_boundary", boundary)
-        # the (m, n, n) stacked entries and the traceless parts' (m, m) Gram
-        # matrix, both empty when m = 0, for dual_objective and solve_maxent
+        # the (m, n, n) stacked entries and n Gram^-1 of the traceless parts,
+        # (m, m), both empty when m = 0, for dual_objective and solve_maxent
         object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_gram", gram)
+        object.__setattr__(self, "_precond", precond)
 
     @staticmethod
     def _uncertain(stacked: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -176,13 +178,12 @@ class ConstraintSet:
 
     @staticmethod
     def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
-        """Gram matrix G of the traceless parts, after a scale-free independence check.
+        """n G^-1, G the Gram matrix of the traceless parts, after a scale-free independence check.
 
         The check reads D^-1/2 G D^-1/2, D = diag G, built from each observable
         scaled to unit peak entry, so it neither overflows nor underflows.  The
         scaling divides ``stacked`` in place, which the caller restores.  G is
-        refused when it, or the preconditioner n G^-1 of ``solve_maxent``, is not
-        finite.
+        refused when it, or n G^-1 (which ``solve_maxent`` reads), is not finite.
         """
         # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y
         parts = stacked.reshape(-1, dim * dim).view(np.float64)
@@ -209,14 +210,16 @@ class ConstraintSet:
             raise InputValidationError("observables too large: their Gram matrix overflows")
         try:
             with np.errstate(over="ignore"):
-                finite = np.isfinite(dim * np.linalg.inv(gram)).all()
+                precond = dim * np.linalg.inv(gram)
+            finite = np.isfinite(precond).all()
         except np.linalg.LinAlgError:  # underflowed to an exactly singular matrix
             finite = False
         if not finite:
             raise InputValidationError(
                 "observables too small: the inverse of their Gram matrix overflows"
             )
-        return gram
+        precond.setflags(write=False)
+        return precond
 
     @property
     def m(self) -> int:
@@ -286,16 +289,14 @@ def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def partition_function(multipliers, observables) -> float:
-    """Z = tr exp(-sum_k lam_k A_k), unshifted: a spectral radius above 700 raises Overflow."""
+    """Z = tr exp(-sum_k lam_k A_k) = exp(log Z); a Z that is not finite raises Overflow."""
     lam, stacked = _validated_pair(multipliers, observables)
-    w = np.linalg.eigvalsh(_aggregate(lam, stacked))
-    radius = float(np.abs(w).max())
-    if radius > EXP_ARGUMENT_LIMIT:
-        raise Overflow(
-            f"spectral radius {radius:.6g} of the multiplier aggregate exceeds "
-            f"the exponent guard {EXP_ARGUMENT_LIMIT:.0f}"
-        )
-    return float(np.exp(-w).sum())
+    log_z = float(np.logaddexp.reduce(-np.linalg.eigvalsh(_aggregate(lam, stacked))))
+    with np.errstate(over="ignore"):
+        z = float(np.exp(log_z))
+    if not np.isfinite(z):
+        raise Overflow(f"Z = exp({log_z:.6g}) is not finite in double precision")
+    return z
 
 
 def gibbs_state(multipliers, observables) -> DensityOperator:
@@ -389,20 +390,17 @@ def solve_maxent(
     largest constraint violation is already at most ``tol``, which is
     convergence.
     Targets on or outside the boundary of the achievable set are reported as
-    Infeasible, either up front (target on the spectral boundary) or by weak
-    duality: every state meeting the targets has 0 <= S <= log Z + lam . t, so
-    a dual value below 0 (beyond rounding) proves that no state meets them.
+    Infeasible, either up front (target on the spectral boundary) or by a
+    separating hyperplane: every state has tr(rho sum_k lam_k A_k) >= w_min,
+    the smallest eigenvalue of the aggregate, so lam . t below w_min (beyond
+    rounding) proves that no state meets the targets.
     """
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise InputValidationError(f"max_iter must be at least 1, got {max_iter!r}")
+    _check_controls(tol, max_iter)
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    n, stacked, targets = constraints.dim, constraints._stacked, constraints.targets
+    stacked, targets = constraints._stacked, constraints.targets
 
-    lam = np.zeros(constraints.m)
-    precond = n * np.linalg.inv(constraints._gram)
+    lam, precond = np.zeros(constraints.m), constraints._precond
     value, gradient, state, log_z, eig = _dual_point(lam, stacked, targets)
     iterations = 0
     residual = float(abs(gradient).max(initial=0.0))
@@ -411,10 +409,11 @@ def solve_maxent(
             raise MaxIterExceeded(
                 f"no convergence after {max_iter} iterations (residual {residual:.3e})"
             )
-        if value < -1e-12 * max(1.0, float(abs(eig[0]).max())):
+        gap = float(eig[0][0]) - float(lam @ targets)  # w_min - lam . t
+        if gap > 1e-12 * max(1.0, float(abs(eig[0]).max())):
             raise Infeasible(
-                f"dual value {value:.6g} is negative, yet it bounds the entropy of every "
-                "state meeting the targets from above; the targets are jointly unreachable"
+                f"lam . t is {gap:.3e} below the smallest eigenvalue of sum_k lam_k A_k, a bound "
+                "on tr(rho sum_k lam_k A_k) for every state; the targets are jointly unreachable"
             )
         hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
         direction = _newton_direction(hessian, gradient, precond, tol)
@@ -468,6 +467,7 @@ def entropy_sensitivity(
     a solver consistency check.  Solver errors at the perturbed targets
     propagate unchanged.
     """
+    _check_controls(tol, max_iter)
     if not (np.isfinite(step) and step > 0.0):
         raise InputValidationError(f"step must be positive and finite, got {step!r}")
     out = np.zeros(constraints.m)
@@ -510,12 +510,11 @@ def solve_prior_tilt(
     strictly between the smallest and largest eigenvalue of A that carries
     prior weight.
     """
+    _check_controls(tol, max_iter)
     if prior.dim != observable.dim:
         raise DimMismatch(f"prior dim {prior.dim} != observable dim {observable.dim}")
     if not np.isfinite(target):
         raise InputValidationError("target must be finite")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
     w, v = eig_hermitian(observable)
     support = _tilt_support(prior, w, v, target, tol, "prior")
     if support is None:
@@ -572,6 +571,7 @@ def classical_gibbs_oracle(
     with the operator path so it can serve as an independent cross-check
     on commuting instances.
     """
+    _check_controls(tol, max_iter)
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
     if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
         raise InputValidationError("weights must be a nonempty finite vector")

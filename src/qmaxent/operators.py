@@ -6,6 +6,9 @@ value types (Hermitian operators and density operators), eigendecomposition
 with a deterministic phase convention, spectral functions
 (exp, log), expectation values, and a couple of norms.
 
+Exponents are shifted, never refused in advance: Overflow means that a
+returned value would not be finite.
+
 All functions are pure and all values are immutable, so they can be
 shared freely across threads.
 """
@@ -13,6 +16,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,8 +60,6 @@ POSITIVITY_TOL = 1e-10
 LOG_EIGENVALUE_FLOOR = 1e-12
 IMAG_TOL = 1e-12
 
-# exp(x) overflows double precision just above x = 709.
-EXP_ARGUMENT_LIMIT = 700.0
 # Weights of a state in an observable's eigenbasis at or below this floor lie
 # outside the state's support.
 SUPPORT_FLOOR = 1e-14
@@ -153,28 +155,23 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
     ``f`` is a tag, either ``"exp"`` or ``"log"``.  The logarithm requires
     every eigenvalue to exceed ``LOG_EIGENVALUE_FLOOR``; anything at or
     below the floor counts as an exact zero, for which a bare logarithm is
-    undefined.
+    undefined.  A result with a non-finite entry raises Overflow.
     """
     if f not in ("exp", "log"):
         raise ValueError(f"unknown spectral function tag {f!r}; expected 'exp' or 'log'")
     w, v = eig_hermitian(operator)
-    if f == "exp":
-        if float(w[0]) > EXP_ARGUMENT_LIMIT:
-            raise Overflow(
-                f"largest eigenvalue {w[0]:.6g} exceeds the exp overflow guard "
-                f"{EXP_ARGUMENT_LIMIT:.0f}"
-            )
-        values = np.exp(w)
-    else:
-        smallest = float(w[-1])
-        if smallest <= LOG_EIGENVALUE_FLOOR:
-            raise DomainError(
-                f"logarithm requires eigenvalues above {LOG_EIGENVALUE_FLOOR:.0e}, "
-                f"smallest is {smallest:.3e}"
-            )
-        values = np.log(w)
-    out = (v * values) @ v.conj().T
-    return HermitianOperator(hermitian_part(out))
+    if f == "log" and float(w[-1]) <= LOG_EIGENVALUE_FLOOR:
+        raise DomainError(
+            f"logarithm requires eigenvalues above {LOG_EIGENVALUE_FLOOR:.0e}, "
+            f"smallest is {float(w[-1]):.3e}"
+        )
+    # checked after symmetrizing: M + M^dag can overflow where M does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(w) if f == "exp" else np.log(w)
+        out = hermitian_part((v * values) @ v.conj().T)
+    if not np.isfinite(out).all():
+        raise Overflow(f"{f} of a spectrum up to {w[0]:.6g} is not finite in double precision")
+    return HermitianOperator(out)
 
 
 def _weights(start: DensityOperator, v: np.ndarray) -> np.ndarray:
@@ -186,18 +183,20 @@ def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> D
     """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem (w, V).
 
     Only eigenvectors on the support of rho0 (weight above ``SUPPORT_FLOOR``)
-    keep their factor, and the exponent is shifted by its maximum over them,
-    so only the normalization can fail, by underflow, which raises Overflow.
+    keep their factor, and the exponent is shifted by its maximum over them, so
+    only a non-finite exponent can make the normalization non-finite or zero,
+    which raises Overflow.
     """
     support = _weights(start, v) > SUPPORT_FLOOR
-    expo = -0.5 * lam * w[support]
-    factors = np.zeros(w.shape)
-    factors[support] = np.exp(expo - expo.max())
-    half = (v * factors) @ v.conj().T
-    out = half @ start.entries @ half
-    trace = float(np.trace(out).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = -0.5 * lam * w[support]
+        factors = np.zeros(w.shape)
+        factors[support] = np.exp(expo - expo.max())
+        half = (v * factors) @ v.conj().T
+        out = half @ start.entries @ half
+        trace = float(np.trace(out).real)
     if not np.isfinite(trace) or trace <= 0.0:
-        raise Overflow("tilt exponent too large: normalization underflowed")
+        raise Overflow(f"tilt at lam {lam!r} is not representable: normalization {trace!r}")
     return DensityOperator(hermitian_part(out) / trace)
 
 
@@ -228,6 +227,14 @@ def _tilt_support(
             f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
         )
     return a_s, d[support]
+
+
+def _check_controls(tol: float, max_iter: int) -> None:
+    """Refuse solver controls other than a finite ``tol`` > 0 and an integer ``max_iter`` >= 1."""
+    if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0.0):
+        raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
+        raise InputValidationError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
 def _checked_real(value: complex, what: str, tol: float = IMAG_TOL) -> float:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,8 +174,18 @@ class TestClosedForm:
     def test_overflow_guard(self):
         from qmaxent import Overflow
 
-        with pytest.raises(Overflow):
-            closed_form_flow(UNIFORM, SZ, 1e4)
+        # the shifted kernel returns every representable state, however large lam
+        out = closed_form_flow(UNIFORM, SZ, 1e4)
+        assert np.abs(out.entries - np.diag([0.0, 1.0])).max() <= 1e-15
+        prior = make_density(np.diag([0.0, 0.5, 0.5]))
+        a = make_hermitian(np.diag([0.0, 1.0, 1.0 + 1e-6]))
+        lam, state = flow_to_constraint(prior, a, 1.0 + 1e-9, tol=1e-14)  # lam ~ 6.9e6
+        assert trace_distance(closed_form_flow(prior, a, lam), state) <= 1e-15
+        # only an exponent that is itself not finite overflows, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow):
+                closed_form_flow(UNIFORM, make_hermitian(np.diag([4.0, -4.0])), 1e308)
 
     def test_solves_the_flow_equation(self, rng):
         h = 1e-5
@@ -267,6 +279,15 @@ class TestFlowToConstraint:
         assert lam_g == pytest.approx(lam_v, rel=1e-6)
         assert trace_distance(state_v, state_g) <= 1e-9
         assert abs(expectation(state_g, a) - (1.0 + 1e-9)) <= 1e-14
+
+    def test_subnormal_offsets_are_compared_by_sign(self):
+        # offsets ~4e-306 have products that underflow to 0, which once counted as a
+        # crossing and divided by fb - fa = 0; tol 1e-322 is out of reach for both routes
+        prior = make_density(np.diag([0.5, 0.5, 0.0]))
+        a = make_hermitian(np.diag([0.0, 1e-305, 1.0]))
+        for route in (solve_prior_tilt, flow_to_constraint):
+            with pytest.raises(MaxIterExceeded):
+                route(prior, a, 9e-306, tol=1e-322)
 
     @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
     def test_routes_are_scale_free(self, route):

@@ -18,6 +18,7 @@ from qmaxent import (
     dual_objective,
     entropy_sensitivity,
     expectation,
+    flow_to_constraint,
     gibbs_state,
     make_density,
     make_hermitian,
@@ -240,7 +241,7 @@ class TestConstraintSet:
             ConstraintSet((), [])
         empty = ConstraintSet((), [], dim=3)
         assert empty.dim == 3
-        assert empty._stacked.shape == (0, 3, 3) and empty._gram.shape == (0, 0)
+        assert empty._stacked.shape == (0, 3, 3) and empty._precond.shape == (0, 0)
 
 
 class TestPartitionFunction:
@@ -256,6 +257,10 @@ class TestPartitionFunction:
     def test_overflow_guard(self):
         with pytest.raises(Overflow):
             partition_function([1000.0], [SZ])
+
+    def test_large_exponent_with_finite_sum(self):
+        # Z = 1 + exp(-1000): only a Z that is not finite overflows
+        assert partition_function([1000.0], [make_hermitian(np.diag([0.0, 1.0]))]) == 1.0
 
 
 class TestGibbsState:
@@ -325,7 +330,7 @@ class TestDualObjective:
         uniform = make_density(np.eye(n) / n)
         observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
         cs = ConstraintSet(observables, [expectation(uniform, a) for a in observables])
-        hinv0 = n * np.linalg.inv(cs._gram)  # the inverse Hessian solve_maxent starts from
+        hinv0 = cs._precond  # the inverse Hessian solve_maxent starts from
         hessian = np.linalg.inv(hinv0)
         steps = np.eye(m) * h
         fd = np.array(
@@ -502,6 +507,22 @@ class TestSolveMaxEnt:
         with pytest.raises(Infeasible):
             solve_maxent(ConstraintSet((SX, SZ), [0.9, 0.9]))
 
+    def test_barely_unreachable_targets_refused_early(self, monkeypatch):
+        # the nearest face holds a mixed state, so the dual value only creeps toward 0
+        # and stays above it past rounding resolution; the hyperplane refuses at once
+        evaluations = []
+        original = qmaxent.maxent._dual_point
+
+        def counted(*args):
+            evaluations.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted)
+        x, z = (make_hermitian(np.kron(s, np.eye(2))) for s in (SIGMA_X, SIGMA_Z))
+        with pytest.raises(Infeasible):
+            solve_maxent(ConstraintSet((x, z), [0.6, 0.8 + 1e-9]))
+        assert len(evaluations) <= 50
+
     # a small observable needs a large multiplier; only the dual value can refuse a target
     def test_small_observable_beside_a_unit_one(self):
         unit = solve_maxent(ConstraintSet((SX, make_hermitian(SIGMA_Y)), [0.3, 0.4]))
@@ -674,3 +695,28 @@ class TestClassicalOracle:
             p = classical_gibbs_oracle(w, vals, targets)
             assert np.abs(vals @ p - targets).max() <= 1e-10
             assert abs(p.sum() - 1.0) <= 1e-12
+
+
+# each call would return at once with valid controls: the target is already met,
+# or there is nothing to solve, so the controls must be checked first
+CONTROLLED_ROUTINES = {
+    "solve_maxent": lambda **c: solve_maxent(ConstraintSet((SZ,), [0.0]), **c),
+    "solve_prior_tilt": lambda **c: solve_prior_tilt(make_density(np.eye(2) / 2), SZ, 0.0, **c),
+    "flow_to_constraint": lambda **c: flow_to_constraint(
+        make_density(np.eye(2) / 2), SZ, 0.0, **c
+    ),
+    "classical_gibbs_oracle": lambda **c: classical_gibbs_oracle([1.0], np.zeros((0, 1)), [], **c),
+    "entropy_sensitivity": lambda **c: entropy_sensitivity(ConstraintSet((), [], dim=2), **c),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(CONTROLLED_ROUTINES))
+@pytest.mark.parametrize(
+    "control, value",
+    [("tol", t) for t in (0.0, -1.0, np.nan, np.inf)]
+    + [("max_iter", k) for k in (0, -3, 2.5, True)],
+)
+def test_solver_controls_checked_first(routine, control, value):
+    CONTROLLED_ROUTINES[routine]()  # valid defaults pass
+    with pytest.raises(InputValidationError):
+        CONTROLLED_ROUTINES[routine](**{control: value})

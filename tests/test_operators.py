@@ -10,6 +10,7 @@ from qmaxent import (
     NonSquare,
     NotHermitian,
     NotPositive,
+    Overflow,
     TraceNotOne,
     apply_spectral_function,
     commutator_norm,
@@ -109,6 +110,12 @@ class TestSpectralFunctions:
     def test_exp_of_log2_sigma_z(self):
         out = apply_spectral_function(make_hermitian(np.log(2.0) * SIGMA_Z), "exp")
         assert np.allclose(out.entries, np.diag([2.0, 0.5]), atol=1e-14)
+
+    def test_exp_overflows_only_past_double_range(self):
+        out = apply_spectral_function(make_hermitian(np.diag([705.0, 0.0])), "exp")
+        assert np.allclose(out.entries, np.diag([np.exp(705.0), 1.0]), rtol=1e-14)
+        with pytest.raises(Overflow):
+            apply_spectral_function(make_hermitian(np.diag([710.0, 0.0])), "exp")
 
     def test_log_of_uniform_state(self):
         out = apply_spectral_function(make_hermitian(np.eye(2) / 2), "log")
