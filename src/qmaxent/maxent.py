@@ -11,29 +11,27 @@ and the multipliers are the unique minimizer of the smooth convex dual
 
 whose gradient is t_j - <A_j>_{rho(lam)} and whose Hessian is the Kubo-Mori
 metric at rho(lam).  ``solve_maxent`` runs Newton's method with Armijo
-backtracking from lam = 0 (the uniform state), solving each Newton system by
-conjugate gradients on Hessian-vector products, which need no eigendecomposition
-beyond the dual evaluation's own.  They are preconditioned with n Gram^-1
-(Gram of the traceless parts), the exact inverse Hessian at I/n, and stop once
-the linearized gradient is within a tenth of the tolerance.  The line search
-also accepts a step whose gradient already meets the tolerance: that close to
-the optimum, rounding in the dual value can outweigh the Armijo decrease.  The
-entropy of the estimate comes from the spectrum of the last dual evaluation.
-Every state has tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue,
-and one meeting the targets has it equal to lam . t, so lam . t < w_min (a
-separating hyperplane) proves the targets jointly unreachable; log Z >= -w_min,
-so this fires wherever the dual value is negative, and sooner.
+backtracking from lam = 0, where all of these are known in closed form: the
+state I/n, log Z = log n, <A_j> = tr(A_j)/n, and the Hessian Gram/n (Gram of
+the traceless parts), so the first step, -n Gram^-1 g, needs no
+eigendecomposition.  Later Newton systems are solved by conjugate gradients on
+Hessian-vector products in the dual evaluation's eigenbasis, preconditioned
+with n Gram^-1 and stopped once the linearized gradient is within a tenth of
+the tolerance.  The line search also accepts a step whose gradient already
+meets the tolerance, since rounding in the dual value can outweigh the Armijo
+decrease there.  The estimate's entropy comes from the last dual evaluation's
+spectrum.  Every state has tr(rho sum_k lam_k A_k) >= w_min, its smallest
+eigenvalue, and one meeting the targets has it equal to lam . t, so
+lam . t < w_min (a separating hyperplane) proves the targets unreachable; as
+log Z >= -w_min, this fires wherever the dual value is negative, and sooner.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 ``ConstraintSet`` runs eigvalsh only on targets outside that inner range or
-within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  Its
-independence check then scales its one stack of entries in place, in real
-arithmetic, and copies the entries back before the stack is frozen.
-
-The state, log Z, the dual value and its gradient come from one shifted
-eigendecomposition of sum_k lam_k A_k and need no overflow guard; so does log Z
-in ``partition_function``, which raises Overflow only when Z is not finite.
+within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  It
+reads its one stack of entries three times: to build it, for the norms ||A_k||_F
+and for the Gram matrix of the independence check.  Exponents are shifted, so
+Overflow means that sum_k lam_k A_k, Z or the dual value is not finite.
 
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
@@ -131,8 +129,10 @@ class ConstraintSet:
         if dim is None:
             raise DimMismatch("dimension required when no observables are given")
         stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
+        parts = stacked.reshape(-1, dim * dim).view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
-            uncertain = self._uncertain(stacked, targets)
+            squares = np.einsum("ki,ki->k", parts, parts)  # ||A_k||_F^2, inf if it overflows
+            uncertain = self._uncertain(stacked, targets, squares)
         boundary = None
         for k in uncertain:
             t, w = targets[k], np.linalg.eigvalsh(observables[k].entries)
@@ -144,9 +144,7 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range {span}; "
                     "the multiplier would diverge"
                 )
-        precond = self._check_independent(stacked, dim)
-        for k, a in enumerate(observables):  # the check scaled the stack in place
-            stacked[k] = a.entries
+        precond = self._check_independent(stacked, squares, observables)
         stacked.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
@@ -160,38 +158,43 @@ class ConstraintSet:
         object.__setattr__(self, "_precond", precond)
 
     @staticmethod
-    def _uncertain(stacked: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    def _uncertain(stacked: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
         """Indices of the targets that the 2x2 principal submatrices leave undecided."""
-        m, n = stacked.shape[:2]
-        flat = stacked.reshape(m, n * n)
-        parts = flat.view(np.float64)  # ||A||_F >= ||A||_2 bounds LAPACK's error
-        margin = 1e-10 * np.sqrt(np.einsum("ki,ki->k", parts, parts))
-        diag = flat[:, :: n + 1].real
+        margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
+        diag = np.einsum("kii->ki", stacked).real
         lo, hi = diag.min(axis=1), diag.max(axis=1)
-        rest = np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
-        d, off = diag[rest], np.abs(flat[rest]) ** 2
-        off[:, :: n + 1] = 0.0  # a 1x1 block's eigenvalue is a_ii itself
-        mid = (d[:, :, None] + d[:, None, :]) / 2.0
-        rad = np.sqrt(((d[:, :, None] - d[:, None, :]) / 2.0) ** 2 + off.reshape(-1, n, n))
-        lo[rest], hi[rest] = (mid - rad).min(axis=(1, 2)), (mid + rad).max(axis=(1, 2))
+        for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
+            d, off = diag[k], np.abs(stacked[k]) ** 2
+            np.fill_diagonal(off, 0.0)  # a 1x1 block's eigenvalue is a_ii itself
+            mid = (d[:, None] + d[None, :]) / 2.0
+            rad = np.sqrt(((d[:, None] - d[None, :]) / 2.0) ** 2 + off)
+            lo[k], hi[k] = (mid - rad).min(), (mid + rad).max()
         return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
-    def _check_independent(stacked: np.ndarray, dim: int) -> np.ndarray:
+    def _check_independent(stacked: np.ndarray, squares: np.ndarray, observables) -> np.ndarray:
         """n G^-1, G the Gram matrix of the traceless parts, after a scale-free independence check.
 
-        The check reads D^-1/2 G D^-1/2, D = diag G, built from each observable
-        scaled to unit peak entry, so it neither overflows nor underflows.  The
-        scaling divides ``stacked`` in place, which the caller restores.  G is
-        refused when it, or n G^-1 (which ``solve_maxent`` reads), is not finite.
+        The check reads D^-1/2 G D^-1/2, D = diag G, G formed from ``stacked`` with its
+        diagonals centered in place, then restored.  Rows whose ||A_k||_F^2 (``squares``)
+        is outside (2^-800, 2^800), where G could overflow or underflow, are scaled to unit
+        peak entry (a zero row by the smallest normal number), then copied back from
+        ``observables``.  G is refused when it, or n G^-1, is not finite.
         """
+        m, dim = stacked.shape[:2]
         # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y
-        parts = stacked.reshape(-1, dim * dim).view(np.float64)
-        peaks = np.maximum(parts.max(axis=1), -parts.min(axis=1))
-        parts /= np.where(peaks > 0.0, peaks, 1.0)[:, None]
+        parts = stacked.reshape(m, dim * dim).view(np.float64)
+        extreme = np.flatnonzero(~((2.0**-800 < squares) & (squares < 2.0**800)))
+        scales = np.ones(m)
+        scales[extreme] = np.abs(parts[extreme]).max(axis=1, initial=np.finfo(float).tiny)
+        parts[extreme] /= scales[extreme, None]
         diagonal = parts[:, :: 2 * (dim + 1)]
+        saved = diagonal.copy()
         diagonal -= diagonal.mean(axis=1)[:, None]
         inner = parts @ parts.T
+        diagonal[...] = saved
+        for k in extreme:
+            stacked[k] = observables[k].entries
         norms = np.sqrt(inner.diagonal())
         if not norms.all():
             raise DependentConstraints(
@@ -205,7 +208,7 @@ class ConstraintSet:
                 "traceless parts' correlation matrix above 1e12); multipliers would not be unique"
             )
         with np.errstate(over="ignore"):
-            gram = inner * peaks[:, None] * peaks[None, :]
+            gram = inner * scales[:, None] * scales[None, :]
         if not np.isfinite(gram).all():
             raise InputValidationError("observables too large: their Gram matrix overflows")
         try:
@@ -252,7 +255,8 @@ def _validated_multipliers(multipliers, m: int) -> np.ndarray:
     return lam
 
 
-def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
+def _validated_aggregate(multipliers, observables) -> np.ndarray:
+    """sum_k lam_k A_k of validated inputs; finite multipliers can still overflow it."""
     lam = _validated_multipliers(multipliers, len(observables))
     if lam.size == 0:
         raise DimMismatch("at least one observable is required")
@@ -260,7 +264,11 @@ def _validated_pair(multipliers, observables) -> tuple[np.ndarray, np.ndarray]:
     for a in observables[1:]:
         if a.dim != dim:
             raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
-    return lam, np.stack([a.entries for a in observables])
+    with np.errstate(over="ignore", invalid="ignore"):
+        aggregate = _aggregate(lam, np.stack([a.entries for a in observables]))
+    if not np.isfinite(aggregate).all():
+        raise Overflow("sum_k lam_k A_k is not finite in double precision")
+    return aggregate
 
 
 def _aggregate(lam: np.ndarray, stacked: np.ndarray) -> np.ndarray:
@@ -269,9 +277,9 @@ def _aggregate(lam: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     return (lam @ stacked.reshape(-1, n * n)).reshape(n, n)
 
 
-def _eig_aggregate(lam: np.ndarray, stacked: np.ndarray):
+def _eigh(matrix: np.ndarray):
     try:
-        return np.linalg.eigh(_aggregate(lam, stacked))
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
@@ -290,9 +298,9 @@ def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def partition_function(multipliers, observables) -> float:
     """Z = tr exp(-sum_k lam_k A_k) = exp(log Z); a Z that is not finite raises Overflow."""
-    lam, stacked = _validated_pair(multipliers, observables)
-    log_z = float(np.logaddexp.reduce(-np.linalg.eigvalsh(_aggregate(lam, stacked))))
+    w = np.linalg.eigvalsh(_validated_aggregate(multipliers, observables))
     with np.errstate(over="ignore"):
+        log_z = float(np.logaddexp.reduce(-w))
         z = float(np.exp(log_z))
     if not np.isfinite(z):
         raise Overflow(f"Z = exp({log_z:.6g}) is not finite in double precision")
@@ -300,15 +308,15 @@ def partition_function(multipliers, observables) -> float:
 
 
 def gibbs_state(multipliers, observables) -> DensityOperator:
-    """The canonical state exp(-sum_k lam_k A_k) / Z; its exponent is shifted, so unguarded."""
-    lam, stacked = _validated_pair(multipliers, observables)
-    w, v = _eig_aggregate(lam, stacked)
-    return DensityOperator(_softmax_state(w, v)[0])
+    """exp(-sum_k lam_k A_k) / Z, its exponent shifted; only an aggregate that overflows raises."""
+    w, v = _eigh(_validated_aggregate(multipliers, observables))
+    with np.errstate(over="ignore"):  # a spread beyond double range leaves weights of 0
+        return DensityOperator(_softmax_state(w, v)[0])
 
 
 def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
     """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n."""
-    w, v = _eig_aggregate(lam, stacked)
+    w, v = _eigh(_aggregate(lam, stacked))
     log_z = float(np.logaddexp.reduce(-w))
     state, p = _softmax_state(w, v)
     # tr(rho A_k) = sum_ij (A_k)_ij conj(rho_ij) for Hermitian rho
@@ -341,10 +349,13 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     """Convex dual value log Z + lam . t and its exact gradient t_j - <A_j>.
 
     The gradient vanishes exactly at the maximum-entropy multipliers.  log Z
-    is evaluated after a shift, so no exponent guard applies.
+    is evaluated after a shift; only a value that is not finite raises Overflow.
     """
     lam = _validated_multipliers(multipliers, constraints.m)
-    value, gradient = _dual_point(lam, constraints._stacked, constraints.targets)[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, gradient = _dual_point(lam, constraints._stacked, constraints.targets)[:2]
+    if not np.isfinite(value):
+        raise Overflow(f"dual value {value!r} is not finite in double precision")
     return value, gradient
 
 
@@ -383,26 +394,26 @@ def solve_maxent(
     """Solve for the entropy-maximizing state subject to the constraints.
 
     Minimizes the convex dual by Newton's method with Armijo backtracking
-    (shrink 0.5, slope 1e-4) from lam = 0, each step solved by conjugate
-    gradients on the exact Hessian, preconditioned with its inverse at 0 and
-    stopped once the linearized constraint violation is at most ``tol / 10``.
-    A trial step is accepted when it meets the Armijo rule or when its
-    largest constraint violation is already at most ``tol``, which is
-    convergence.
-    Targets on or outside the boundary of the achievable set are reported as
-    Infeasible, either up front (target on the spectral boundary) or by a
-    separating hyperplane: every state has tr(rho sum_k lam_k A_k) >= w_min,
-    the smallest eigenvalue of the aggregate, so lam . t below w_min (beyond
-    rounding) proves that no state meets the targets.
+    (shrink 0.5, slope 1e-4) from lam = 0, where the Newton step is known in
+    closed form; later steps are solved by conjugate gradients on the exact
+    Hessian, preconditioned with its inverse at 0 and stopped once the linearized
+    constraint violation is at most ``tol / 10``.  A trial step is accepted when
+    it meets the Armijo rule or when its largest constraint violation is
+    already at most ``tol``, which is convergence.  Targets on or outside the
+    boundary of the achievable set are reported as Infeasible, either up front
+    (target on the spectral boundary) or by a separating hyperplane: lam . t
+    below w_min(sum_k lam_k A_k) (beyond rounding), a lower bound on
+    tr(rho sum_k lam_k A_k) for every state, proves that none meets the targets.
     """
     _check_controls(tol, max_iter)
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    stacked, targets = constraints._stacked, constraints.targets
-
-    lam, precond = np.zeros(constraints.m), constraints._precond
-    value, gradient, state, log_z, eig = _dual_point(lam, stacked, targets)
-    iterations = 0
+    stacked, targets, n = constraints._stacked, constraints.targets, constraints.dim
+    # lam = 0 in closed form: state I/n, log Z = log n, <A_k> = tr A_k / n, Hessian precond^-1
+    lam, precond, iterations = np.zeros(constraints.m), constraints._precond, 0
+    value = log_z = float(np.log(n))
+    gradient = targets - np.einsum("kii->k", stacked).real / n
+    state, eig = np.eye(n) / n, (np.zeros(n), None, np.full(n, 1.0 / n))
     residual = float(abs(gradient).max(initial=0.0))
     while not residual <= tol:
         if iterations >= max_iter:
@@ -415,8 +426,11 @@ def solve_maxent(
                 f"lam . t is {gap:.3e} below the smallest eigenvalue of sum_k lam_k A_k, a bound "
                 "on tr(rho sum_k lam_k A_k) for every state; the targets are jointly unreachable"
             )
-        hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
-        direction = _newton_direction(hessian, gradient, precond, tol)
+        if iterations:
+            hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
+            direction = _newton_direction(hessian, gradient, precond, tol)
+        else:
+            direction = -(precond @ gradient)
         slope = float(gradient @ direction)
         # small cushion absorbs ties at the resolution of the dual value
         cushion = 1e-14 * max(1.0, abs(value))
@@ -424,10 +438,8 @@ def solve_maxent(
         while True:
             trial = lam + t * direction
             point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z, eig
-            if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion:
-                break
-            # near the optimum the value's rounding can exceed the cushion
-            if abs(point[1]).max() <= tol:
+            # near the optimum the value's rounding can exceed the cushion; tol then suffices
+            if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion or abs(point[1]).max() <= tol:
                 break
             t *= ARMIJO_SHRINK
             if t < 1e-20:
@@ -438,14 +450,13 @@ def solve_maxent(
         iterations += 1
         residual = float(abs(gradient).max(initial=0.0))
 
-    estimate = DensityOperator(state)
     achieved = targets - gradient
     lam.setflags(write=False)
     achieved.setflags(write=False)
     return MaxEntSolution(
         multipliers=lam,
         lambda0=log_z,
-        estimate=estimate,
+        estimate=DensityOperator(state),
         achieved=achieved,
         s_max=_entropy_of_spectrum(eig[2]),
         iterations=iterations,

@@ -66,8 +66,8 @@ SUPPORT_FLOOR = 1e-14
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Return (M + M†) / 2."""
-    return (matrix + matrix.conj().T) / 2.0
+    """Return (M + M†) / 2, each term halved first so that the sum cannot overflow."""
+    return matrix / 2.0 + matrix.conj().T / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +165,6 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
             f"logarithm requires eigenvalues above {LOG_EIGENVALUE_FLOOR:.0e}, "
             f"smallest is {float(w[-1]):.3e}"
         )
-    # checked after symmetrizing: M + M^dag can overflow where M does not
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.exp(w) if f == "exp" else np.log(w)
         out = hermitian_part((v * values) @ v.conj().T)

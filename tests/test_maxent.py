@@ -172,17 +172,19 @@ class TestConstraintSet:
             assert cs._stacked[k].tobytes() == a.entries.tobytes()
 
     def test_one_constraint_buffer(self, rng):
-        observables = tuple(rand_hermitian_radius(rng, 32, 1.0) for _ in range(30))
-        state = gibbs_state(rng.normal(0.0, 0.5, size=30), observables)
-        targets = [expectation(state, a) for a in observables]
-        tracemalloc.start()
-        try:
-            cs = ConstraintSet(observables, targets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # a scaled copy of the stack for the independence check would double it
-        assert peak <= 1.25 * cs._stacked.nbytes
+        for n, m in ((32, 30), (32, 30), (32, 30), (64, 40), (64, 40), (64, 40)):
+            observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
+            state = gibbs_state(rng.normal(0.0, 0.5, size=m), observables)
+            targets = [expectation(state, a) for a in observables]
+            tracemalloc.start()
+            try:
+                cs = ConstraintSet(observables, targets)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a scaled copy of the stack for the independence check would double it, and
+            # the 2x2 bounds of all undecided targets at once would add a third of it
+            assert peak <= 1.15 * cs._stacked.nbytes
 
     def test_eigvalsh_only_for_uncertain_targets(self, rng, eig_calls):
         observables = tuple(rand_hermitian(rng, 4) for _ in range(3))
@@ -230,7 +232,8 @@ class TestConstraintSet:
         for a in (diagonal(6), blocks(6)):
             w = np.linalg.eigvalsh(a.entries)
             inside = np.array([w[0], w[-1]]) + np.array([1e-9, -1e-9]) * np.abs(w).max()
-            assert ConstraintSet._uncertain(np.array([a.entries] * 2), inside).size == 0
+            squares = np.full(2, np.sum(np.abs(a.entries) ** 2))
+            assert ConstraintSet._uncertain(np.array([a.entries] * 2), inside, squares).size == 0
         # the diagonal must be masked out of |a_ij|: unmasked, sigma_z's pairs would span [-2, 2]
         for target in (1.0, -1.0, 1.0 - 1e-12, 1.5):
             assert constraint_verdict((SZ,), [target]) == range_verdict((SZ,), [target])
@@ -257,6 +260,11 @@ class TestPartitionFunction:
     def test_overflow_guard(self):
         with pytest.raises(Overflow):
             partition_function([1000.0], [SZ])
+
+    def test_overflowing_aggregate(self):
+        # each multiplier is finite, their sum_k lam_k A_k is not
+        with pytest.raises(Overflow, match="sum_k lam_k A_k"):
+            partition_function([1e308, 1e308], [SZ, SZ])
 
     def test_large_exponent_with_finite_sum(self):
         # Z = 1 + exp(-1000): only a Z that is not finite overflows
@@ -285,6 +293,13 @@ class TestGibbsState:
             rho = gibbs_state(rng.normal(size=2), obs)
             assert np.linalg.eigvalsh(rho.entries).min() > 0.0
 
+    def test_overflowing_aggregate(self):
+        with pytest.raises(Overflow, match="sum_k lam_k A_k"):
+            gibbs_state([1e308, 1e308], [SZ, SZ])
+        # a finite aggregate whose spectral spread overflows keeps its extreme weights
+        rho = gibbs_state([1e308, 1e308], [SZ, SX])
+        assert abs(np.linalg.eigvalsh(rho.entries) - [0.0, 1.0]).max() <= 1e-15
+
     def test_offset_spectrum(self):
         # the weights exp(-1000) and exp(-1001), shifted by 1000, are 1 and 1/e
         rho = gibbs_state([1.0], [OFFSET])
@@ -301,6 +316,14 @@ class TestDualObjective:
     def test_stationarity_at_solution(self):
         _, grad = dual_objective([-np.log(2.0)], ConstraintSet((SZ,), [0.6]))
         assert np.abs(grad).max() <= 1e-12
+
+    def test_value_that_is_not_finite(self):
+        # log Z + lam . t overflows, or sum_k lam_k A_k does and the value is NaN
+        with pytest.raises(Overflow, match="dual value inf"):
+            dual_objective([1e308, 1e308], ConstraintSet((SZ, SX), [0.6, 0.1]))
+        pair = (make_hermitian(np.diag([1.0, -1.0, 0.0])), make_hermitian(np.diag([1.0, 0.0, -1.0])))
+        with pytest.raises(Overflow, match="dual value nan"):
+            dual_objective([1e308, 1e308], ConstraintSet(pair, [0.1, 0.1]))
 
     def test_empty_constraints(self):
         value, grad = dual_objective([], ConstraintSet((), [], dim=4))
@@ -440,6 +463,42 @@ class TestSolveMaxEnt:
         # the estimate's positivity check, whatever m is; s_max reuses the dual's spectrum
         assert counts == [1, 1]
 
+    def test_uniform_start_needs_no_decomposition(self, rng, eig_calls):
+        n = 5
+        observables = tuple(rand_hermitian(rng, n) for _ in range(3))
+        constraints = ConstraintSet(observables, [np.trace(a.entries).real / n for a in observables])
+        eig_calls.clear()
+        sol = solve_maxent(constraints)
+        # I/n meets the targets: only the estimate's positivity check decomposes anything
+        assert eig_calls == {"eigvalsh": 1}
+        assert sol.iterations == 0 and not sol.multipliers.any()
+        assert sol.lambda0 == np.log(n)
+        assert sol.s_max == pytest.approx(np.log(n), abs=1e-14)
+
+    def test_one_decomposition_per_evaluation(self, rng, eig_calls, monkeypatch):
+        counts = {"evaluations": 0, "backtracks": 0}
+        dual_point = qmaxent.maxent._dual_point
+
+        def counted_point(*args):
+            counts["evaluations"] += 1
+            return dual_point(*args)
+
+        class CountedShrink(float):
+            # t *= ARMIJO_SHRINK tries this reflected product first: once per backtrack
+            def __rmul__(self, other):
+                counts["backtracks"] += 1
+                return other * float(self)
+
+        shrink = CountedShrink(qmaxent.maxent.ARMIJO_SHRINK)
+        monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
+        monkeypatch.setattr(qmaxent.maxent, "ARMIJO_SHRINK", shrink)
+        constraints = gibbs_instance(rng, 16, 20, 0.5)
+        eig_calls.clear()
+        sol = solve_maxent(constraints)
+        # none at lam = 0: every evaluation is an accepted step or a backtrack
+        assert eig_calls["eigh"] == counts["evaluations"]
+        assert counts["evaluations"] == sol.iterations + counts["backtracks"]
+
     def test_conjugate_gradients_stop_at_the_tolerance(self, rng, monkeypatch):
         dual_point, kubo_mori = qmaxent.maxent._dual_point, qmaxent.maxent._kubo_mori_product
         counts = {"evaluations": 0, "products": 0}
@@ -461,9 +520,10 @@ class TestSolveMaxEnt:
         monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
         for _ in range(4):
             solve_maxent(gibbs_instance(rng, 16, 20, 0.5))
-        # CG run to its relative stop alone takes 78 products over the same 23 evaluations
-        assert counts["evaluations"] == 23
-        assert counts["products"] < 78
+        # CG run to its relative stop alone takes 74 products over the same 19 evaluations;
+        # none is spent at lam = 0, whose value, gradient and Newton step are known
+        assert counts["evaluations"] == 19
+        assert counts["products"] < 74
 
     def test_iterations_at_moderate_scale(self, rng):
         # from the identity, BFGS needs 29 or more iterations on these sizes

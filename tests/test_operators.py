@@ -114,6 +114,9 @@ class TestSpectralFunctions:
     def test_exp_overflows_only_past_double_range(self):
         out = apply_spectral_function(make_hermitian(np.diag([705.0, 0.0])), "exp")
         assert np.allclose(out.entries, np.diag([np.exp(705.0), 1.0]), rtol=1e-14)
+        # the symmetrization halves each term before adding, so e^709.5 survives it
+        out = apply_spectral_function(make_hermitian(np.diag([709.5, 0.0])), "exp")
+        assert np.allclose(out.entries, np.diag([np.exp(709.5), 1.0]), rtol=1e-14)
         with pytest.raises(Overflow):
             apply_spectral_function(make_hermitian(np.diag([710.0, 0.0])), "exp")
 
