@@ -113,11 +113,13 @@ def _check_flags(args) -> None:
         _check_controls(args.tol, args.max_iter)
 
 
-def _require_mode(problem, expected: str) -> None:
-    if problem.mode != expected:
+def _problem(args, mode: str):
+    problem = problem_from_document(_load_json(args.problem))
+    if problem.mode != mode:
         raise InputValidationError(
-            f"problem mode is {problem.mode!r}, this subcommand needs {expected!r}"
+            f"problem mode is {problem.mode!r}, this subcommand needs {mode!r}"
         )
+    return problem
 
 
 def _trace_error(state) -> float:
@@ -127,8 +129,12 @@ def _trace_error(state) -> float:
 def _dispatch(args):
     csv_rows = None
     if args.command == "estimate":
-        problem = problem_from_document(_load_json(args.problem))
-        _require_mode(problem, "maxent")
+        problem = _problem(args, "maxent")
+        if problem.prior is not None:
+            raise InputValidationError(
+                "relative-entropy MaxEnt with a prior is not implemented; "
+                "'tilt' updates a prior toward one constraint"
+            )
         constraints = ConstraintSet(problem.observables, np.array(problem.targets))
         solution = solve_maxent(constraints, tol=args.tol, max_iter=args.max_iter)
         result = {
@@ -141,8 +147,7 @@ def _dispatch(args):
             "s_max": solution.s_max,
         }
     elif args.command == "tilt":
-        problem = problem_from_document(_load_json(args.problem))
-        _require_mode(problem, "prior_tilt")
+        problem = _problem(args, "prior_tilt")
         lam, state = solve_prior_tilt(
             problem.prior,
             problem.observables[0],
@@ -157,8 +162,7 @@ def _dispatch(args):
             "target": problem.targets[0],
         }
     elif args.command == "flow":
-        problem = problem_from_document(_load_json(args.problem))
-        _require_mode(problem, "flow")
+        problem = _problem(args, "flow")
         trajectory = integrate_flow(
             problem.prior, problem.observables[0], args.lambda_end, args.step
         )
@@ -173,8 +177,7 @@ def _dispatch(args):
         }
         csv_rows = [(s.lam, s.mean, _trace_error(s.state)) for s in trajectory.samples]
     elif args.command == "metric":
-        problem = problem_from_document(_load_json(args.problem))
-        _require_mode(problem, "metric")
+        problem = _problem(args, "metric")
         result = {"value": metric_forms(problem.prior, *problem.observables)}
     elif args.command == "entropy":
         state = density_from_document(_load_json(args.state))

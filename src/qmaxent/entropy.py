@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatch, SupportViolation
-from .operators import LOG_EIGENVALUE_FLOOR, DensityOperator
+from .errors import SupportViolation
+from .operators import LOG_EIGENVALUE_FLOOR, DensityOperator, _common_dim, _weights
 
 __all__ = ["von_neumann_entropy", "relative_entropy"]
 
@@ -39,10 +39,9 @@ def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
     Raises SupportViolation if ``state`` puts more than ``SUPPORT_TOL`` of
     weight on the kernel of ``prior``, where the value would be -infinity.
     """
-    if state.dim != prior.dim:
-        raise DimMismatch(f"state dim {state.dim} != prior dim {prior.dim}")
+    _common_dim(state, prior)
     q, v = np.linalg.eigh(prior.entries)
-    overlaps = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state.entries, v))
+    overlaps = _weights(state, v)
     kernel = q <= LOG_EIGENVALUE_FLOOR
     kernel_weight = float(overlaps[kernel].sum())
     if kernel_weight > SUPPORT_TOL:

@@ -20,11 +20,11 @@ along the closed form to hit a target expectation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .errors import (
-    DimMismatch,
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
@@ -32,11 +32,11 @@ from .errors import (
     PositivityLoss,
     StepInvalid,
 )
-from .geometry import raise_form, zero_mean_form
 from .operators import (
     DensityOperator,
     HermitianOperator,
     _check_controls,
+    _common_dim,
     _tilt,
     _tilt_support,
     eig_hermitian,
@@ -55,6 +55,7 @@ __all__ = [
 
 POSITIVITY_LOSS_TOL = 1e-8
 MAX_STORED_SAMPLES = 1000
+_identity = cache(np.eye)  # built once per dimension, not at every RK4 stage; never written
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +84,16 @@ class FlowTrajectory:
             raise InputValidationError("sample parameters must be strictly monotone")
 
 
+def _velocity(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """-(m D + D m)/2 with D = A - tr(m A) 1: the flow's velocity at the matrix m."""
+    delta = a - np.einsum("ij,ji->", m, a).real * _identity(len(a))
+    return -0.5 * (m @ delta + delta @ m)
+
+
 def flow_field(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
-    """The tangent direction -R_rho(A - <A> 1); traceless, hence a valid velocity."""
-    delta = zero_mean_form(state, observable)
-    pushed = raise_form(state, delta)
-    return HermitianOperator(-pushed.entries)
+    """The tangent direction -R_rho(A - <A> 1): traceless, and the velocity RK4 steps along."""
+    _common_dim(state, observable)
+    return HermitianOperator(_velocity(state.entries, observable.entries))
 
 
 def _check_positivity(y: np.ndarray, lam: float) -> None:
@@ -112,21 +118,13 @@ def integrate_flow(
     whose failed invariant it names.  Roughly every ceil(n_steps/1000)-th
     step is recorded, plus the endpoint.
     """
-    if start.dim != observable.dim:
-        raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
+    _common_dim(start, observable)
     if not (np.isfinite(step) and step > 0.0):
         raise StepInvalid(f"step must be positive and finite, got {step!r}")
     if not np.isfinite(lambda_end):
         raise StepInvalid(f"lambda_end must be finite, got {lambda_end!r}")
 
     a = observable.entries
-    eye = np.eye(start.dim)
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        mean = np.einsum("ij,ji->", m, a).real
-        delta = a - mean * eye
-        return -0.5 * (m @ delta + delta @ m)
-
     length = abs(float(lambda_end))
     sign = 1.0 if lambda_end >= 0.0 else -1.0
     ratio = length / step
@@ -139,10 +137,10 @@ def integrate_flow(
         lam_prev = sign * min((k - 1) * step, length)
         lam_k = sign * min(k * step, length)
         h = lam_k - lam_prev
-        k1 = rhs(y)
-        k2 = rhs(y + (h / 2.0) * k1)
-        k3 = rhs(y + (h / 2.0) * k2)
-        k4 = rhs(y + h * k3)
+        k1 = _velocity(y, a)
+        k2 = _velocity(y + (h / 2.0) * k1, a)
+        k3 = _velocity(y + (h / 2.0) * k2, a)
+        k4 = _velocity(y + h * k3, a)
         y = hermitian_part(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         if k == n_steps or k % record_every == 0:
             try:
@@ -167,8 +165,7 @@ def closed_form_flow(
     lam = 0 returns ``start`` unchanged.  The kernel shifts the exponent over
     the support of rho0, so only a state that is not representable raises Overflow.
     """
-    if start.dim != observable.dim:
-        raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
+    _common_dim(start, observable)
     if not np.isfinite(lam):
         raise InputValidationError(f"lam must be finite, got {lam!r}")
     if lam == 0.0:
@@ -195,13 +192,10 @@ def flow_to_constraint(
     the same state as the variational single-constraint tilt.
     """
     _check_controls(tol, max_iter)
-    if start.dim != observable.dim:
-        raise DimMismatch(f"state dim {start.dim} != observable dim {observable.dim}")
-    if not np.isfinite(target):
-        raise InputValidationError("target must be finite")
-    w, v = eig_hermitian(observable)
-    if _tilt_support(start, w, v, target, tol, "state") is None:
+    support = _tilt_support(start, observable, target, tol, "state")
+    if support is None:
         return 0.0, start
+    w, v = support[:2]
     f0 = expectation(start, observable) - target
     if abs(f0) <= tol:
         return 0.0, start

@@ -32,6 +32,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _checked_real,
+    _common_dim,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -96,8 +97,7 @@ def raise_form(state: DensityOperator, form: HermitianOperator) -> HermitianOper
     The result is Hermitian but generally not traceless: only zero-mean
     forms raise to tangent vectors.
     """
-    if state.dim != form.dim:
-        raise DimMismatch(f"state dim {state.dim} != form dim {form.dim}")
+    _common_dim(state, form)
     out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
     return HermitianOperator(hermitian_part(out))
 
@@ -109,8 +109,7 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
     rank-deficient state makes the division ill-posed and raises
     SingularBase.
     """
-    if state.dim != vector.dim:
-        raise DimMismatch(f"state dim {state.dim} != vector dim {vector.dim}")
+    _common_dim(state, vector)
     p, v = _full_rank_eig(state)
     tilde = v.conj().T @ vector.entries @ v
     tilde = 2.0 * tilde / (p[:, None] + p[None, :])
@@ -119,11 +118,9 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
 
 
 def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
-    """g_rho(A, B) = <(AB + BA)/2>: symmetric and bilinear in both slots."""
-    if state.dim != a.dim or state.dim != b.dim:
-        raise DimMismatch("metric operands must share the state's dimension")
-    sym = hermitian_part(a.entries @ b.entries + b.entries @ a.entries) / 2.0
-    value = complex(np.einsum("ij,ji->", state.entries, sym))
+    """g_rho(A, B) = <(AB + BA)/2> = tr[A R_rho(B)]: symmetric and bilinear in both slots."""
+    _common_dim(state, a, b)
+    value = complex(np.einsum("ij,ji->", a.entries, raise_form(state, b).entries))
     return _checked_real(value, "metric value")
 
 
@@ -131,8 +128,7 @@ def metric_vectors(
     state: DensityOperator, v: HermitianOperator, w: HermitianOperator
 ) -> float:
     """g_rho(V, W) = tr[W L_rho(V)]: the metric pulled to vector components."""
-    if state.dim != v.dim or state.dim != w.dim:
-        raise DimMismatch("metric operands must share the state's dimension")
+    _common_dim(state, v, w)
     lowered = lower_vector(state, v)
     value = complex(np.einsum("ij,ji->", w.entries, lowered.entries))
     return _checked_real(value, "metric value", tol=1e-10)
@@ -145,8 +141,7 @@ def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     vanishing coefficients inside degenerate eigenvalue blocks, so the
     generator entries there are irrelevant by construction.
     """
-    if state.dim != d.h.dim:
-        raise DimMismatch(f"state dim {state.dim} != decomposition dim {d.h.dim}")
+    _common_dim(state, d.h)
     p = _full_rank_eig(state)[0]
     classical = float((d.dp**2 / p).sum())
     diff = p[:, None] - p[None, :]
@@ -164,8 +159,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     Combines the diagonal eigenvalue shifts with the first-order effect of
     the infinitesimal rotation exp(i dtheta h) on the eigenbasis.
     """
-    if state.dim != d.h.dim:
-        raise DimMismatch(f"state dim {state.dim} != decomposition dim {d.h.dim}")
+    _common_dim(state, d.h)
     p, v = eig_hermitian(state)
     inner = np.diag(d.dp.astype(np.complex128))
     inner = inner + 1j * d.dtheta * (p[None, :] - p[:, None]) * d.h.entries
@@ -175,8 +169,5 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
 
 def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The observable recentered to zero mean: A - <A> 1."""
-    if state.dim != observable.dim:
-        raise DimMismatch(f"state dim {state.dim} != observable dim {observable.dim}")
     mean = expectation(state, observable)
-    out = observable.entries - mean * np.eye(state.dim)
-    return HermitianOperator(out)
+    return HermitianOperator(observable.entries - mean * np.eye(state.dim))

@@ -66,9 +66,9 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _check_controls,
+    _common_dim,
     _tilt,
     _tilt_support,
-    eig_hermitian,
 )
 from .entropy import _entropy_of_spectrum
 
@@ -88,6 +88,7 @@ MULTIPLIER_CAP = 1e4
 GRAM_CONDITION_LIMIT = 1e12
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
+SENSITIVITY_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +121,9 @@ class ConstraintSet:
             )
         if targets.size and not np.isfinite(targets).all():
             raise InputValidationError("targets must be finite")
-        dim = self.dim
-        for a in observables:
-            if dim is None:
-                dim = a.dim
-            elif a.dim != dim:
-                raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
-        if dim is None:
+        if self.dim is None and not observables:
             raise DimMismatch("dimension required when no observables are given")
+        dim = _common_dim(*observables, dim=self.dim)
         stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
         parts = stacked.reshape(-1, dim * dim).view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
@@ -260,10 +256,7 @@ def _validated_aggregate(multipliers, observables) -> np.ndarray:
     lam = _validated_multipliers(multipliers, len(observables))
     if lam.size == 0:
         raise DimMismatch("at least one observable is required")
-    dim = observables[0].dim
-    for a in observables[1:]:
-        if a.dim != dim:
-            raise DimMismatch(f"observable dims differ: {a.dim} != {dim}")
+    _common_dim(*observables)
     with np.errstate(over="ignore", invalid="ignore"):
         aggregate = _aggregate(lam, np.stack([a.entries for a in observables]))
     if not np.isfinite(aggregate).all():
@@ -465,13 +458,9 @@ def solve_maxent(
 
 
 def entropy_sensitivity(
-    constraints: ConstraintSet,
-    step: float = 1e-4,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 500,
+    constraints: ConstraintSet, *, tol: float = 1e-10, max_iter: int = 500
 ) -> np.ndarray:
-    """Central finite differences of the maximal entropy in each target.
+    """Central finite differences, step ``SENSITIVITY_STEP``, of the maximal entropy in each target.
 
     At the optimum the partial derivative of the achieved maximal entropy
     with respect to target j equals the solved multiplier lam_j, so this is
@@ -479,17 +468,15 @@ def entropy_sensitivity(
     propagate unchanged.
     """
     _check_controls(tol, max_iter)
-    if not (np.isfinite(step) and step > 0.0):
-        raise InputValidationError(f"step must be positive and finite, got {step!r}")
     out = np.zeros(constraints.m)
     for j in range(constraints.m):
         values = []
         for sign in (1.0, -1.0):
             shifted = constraints.targets.copy()
-            shifted[j] += sign * step
+            shifted[j] += sign * SENSITIVITY_STEP
             shifted_set = ConstraintSet(constraints.observables, shifted, dim=constraints.dim)
             values.append(solve_maxent(shifted_set, tol=tol, max_iter=max_iter).s_max)
-        out[j] = (values[0] - values[1]) / (2.0 * step)
+        out[j] = (values[0] - values[1]) / (2.0 * SENSITIVITY_STEP)
     return out
 
 
@@ -522,15 +509,10 @@ def solve_prior_tilt(
     prior weight.
     """
     _check_controls(tol, max_iter)
-    if prior.dim != observable.dim:
-        raise DimMismatch(f"prior dim {prior.dim} != observable dim {observable.dim}")
-    if not np.isfinite(target):
-        raise InputValidationError("target must be finite")
-    w, v = eig_hermitian(observable)
-    support = _tilt_support(prior, w, v, target, tol, "prior")
+    support = _tilt_support(prior, observable, target, tol, "prior")
     if support is None:
         return 0.0, prior
-    a_s, d_s = support
+    w, v, a_s, d_s = support
 
     mean0, _ = _tilted_mean_var(0.0, a_s, d_s)
     if abs(mean0 - target) <= tol:

@@ -200,15 +200,21 @@ def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> D
 
 
 def _tilt_support(
-    start: DensityOperator, w: np.ndarray, v: np.ndarray, target: float, tol: float, role: str
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues of A on the support of ``start`` and the weights ``start`` gives them.
+    start: DensityOperator, observable: HermitianOperator, target: float, tol: float, role: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The set-up both tilt routes share: (w, V) of A, and A's eigenvalues on the support.
 
-    Tilting keeps the mean strictly inside the interval these eigenvalues
-    span, so a target outside it raises Infeasible.  Returns None when A is
-    constant on the support and ``target`` already equals that constant.
-    ``role`` names the state in error messages.
+    Checks the dimensions and that ``target`` is finite, diagonalizes A once,
+    and returns (w, V, a_s, d_s): the eigensystem, the eigenvalues of A on the
+    support of ``start`` and the weights ``start`` gives them.  Tilting keeps the
+    mean strictly inside the interval a_s spans, so a target outside it raises
+    Infeasible.  Returns None when A is constant on the support and ``target``
+    already equals that constant.  ``role`` names the state in error messages.
     """
+    _common_dim(start, observable)
+    if not np.isfinite(target):
+        raise InputValidationError("target must be finite")
+    w, v = eig_hermitian(observable)
     d = np.maximum(_weights(start, v), 0.0)
     support = d > SUPPORT_FLOOR
     a_s = w[support]
@@ -225,7 +231,15 @@ def _tilt_support(
         raise Infeasible(
             f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
         )
-    return a_s, d[support]
+    return w, v, a_s, d[support]
+
+
+def _common_dim(*operators, dim: int | None = None) -> int:
+    """The dimension all ``operators`` share, and ``dim`` too when given; else DimMismatch."""
+    dims = [op.dim for op in operators] if dim is None else [dim, *(op.dim for op in operators)]
+    if dims.count(dims[0]) != len(dims):
+        raise DimMismatch(f"operand dimensions differ: {', '.join(map(str, dims))}")
+    return dims[0]
 
 
 def _check_controls(tol: float, max_iter: int) -> None:
@@ -245,22 +259,19 @@ def _checked_real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
 
 def expectation(state: DensityOperator, observable: HermitianOperator) -> float:
     """tr(rho A) as a real number."""
-    if state.dim != observable.dim:
-        raise DimMismatch(f"state dim {state.dim} != observable dim {observable.dim}")
+    _common_dim(state, observable)
     value = complex(np.einsum("ij,ji->", state.entries, observable.entries))
     return _checked_real(value, "expectation value")
 
 
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
     """Frobenius norm of AB - BA; zero iff A and B are simultaneously diagonalizable."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"operator dims {a.dim} and {b.dim} differ")
+    _common_dim(a, b)
     return float(np.linalg.norm(a.entries @ b.entries - b.entries @ a.entries, "fro"))
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of the difference."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"state dims {a.dim} and {b.dim} differ")
+    _common_dim(a, b)
     w = np.linalg.eigvalsh(a.entries - b.entries)
     return 0.5 * float(np.abs(w).sum())

@@ -58,6 +58,19 @@ class TestEstimate:
         result = json.loads(target.read_text())
         assert result["multipliers"][0] == pytest.approx(-np.log(2.0), abs=1e-8)
 
+    def test_prior_refused(self, capsys, tmp_path):
+        # relative-entropy MaxEnt with a prior is not implemented; it must not be dropped
+        doc = json.loads(Path(fixture("qubit_z.json")).read_text())
+        doc["prior"] = {"dim": 2, "re": [[0.9, 0.0], [0.0, 0.1]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        path = tmp_path / "with_prior.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_captured(capsys, ["estimate", "--problem", str(path)])
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "InputValidationError"
+        assert "prior" in message["message"]
+
 
 class TestLauncher:
     def test_module_entry_point(self):

@@ -1,6 +1,9 @@
-"""The package runs on numpy alone."""
+"""The package runs on numpy alone, and imports only what it uses."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import numpy as np
 
@@ -30,3 +33,38 @@ def test_flow_to_constraint_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert abs(float(proc.stdout) + np.log(2.0)) <= 1e-10
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_detection():
+    source = "import os\nfrom sys import path, argv\n__all__ = ['argv']\nprint(path)\n"
+    assert _unused_imports(source) == ["os (line 1)"]
+
+
+def test_no_unused_imports_in_the_package():
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}

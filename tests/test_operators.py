@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import qmaxent as qm
 from qmaxent import (
     DimMismatch,
     DomainError,
@@ -205,3 +206,37 @@ def test_trace_distance_basics():
     b = make_density(np.diag([0.0, 1.0]))
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-14)
     assert trace_distance(a, a) == 0.0
+
+
+_RHO2, _RHO3 = make_density(np.eye(2) / 2), make_density(np.eye(3) / 3)
+_A2, _A3 = make_hermitian(SIGMA_Z), make_hermitian(np.diag([1.0, 0.0, -1.0]))
+_D3 = qm.TangentDecomposition(dp=[0.1, 0.0, -0.1], dtheta=0.1, h=_A3)
+# each public routine that takes two or more operators, on a 2x2 / 3x3 mix
+MISMATCHED = {
+    "expectation": lambda: expectation(_RHO2, _A3),
+    "commutator_norm": lambda: commutator_norm(_A2, _A3),
+    "trace_distance": lambda: trace_distance(_RHO2, _RHO3),
+    "relative_entropy": lambda: qm.relative_entropy(_RHO2, _RHO3),
+    "raise_form": lambda: qm.raise_form(_RHO2, _A3),
+    "lower_vector": lambda: qm.lower_vector(_RHO2, _A3),
+    "metric_forms": lambda: qm.metric_forms(_RHO2, _A3, _A2),
+    "metric_vectors": lambda: qm.metric_vectors(_RHO2, _A2, _A3),
+    "line_element": lambda: qm.line_element(_RHO2, _D3),
+    "assemble_tangent": lambda: qm.assemble_tangent(_RHO2, _D3),
+    "zero_mean_form": lambda: qm.zero_mean_form(_RHO2, _A3),
+    "flow_field": lambda: qm.flow_field(_RHO2, _A3),
+    "integrate_flow": lambda: qm.integrate_flow(_RHO2, _A3, 0.1),
+    "closed_form_flow": lambda: qm.closed_form_flow(_RHO2, _A3, 0.1),
+    "flow_to_constraint": lambda: qm.flow_to_constraint(_RHO2, _A3, 0.0),
+    "solve_prior_tilt": lambda: qm.solve_prior_tilt(_RHO2, _A3, 0.0),
+    "ConstraintSet mixed": lambda: qm.ConstraintSet((_A2, _A3), [0.0, 0.0]),
+    "ConstraintSet dim": lambda: qm.ConstraintSet((_A2,), [0.0], dim=3),
+    "gibbs_state": lambda: qm.gibbs_state([0.1, 0.2], (_A2, _A3)),
+    "partition_function": lambda: qm.partition_function([0.1, 0.2], (_A2, _A3)),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(MISMATCHED))
+def test_operands_share_one_dimension(routine):
+    with pytest.raises(DimMismatch, match="operand dimensions differ"):
+        MISMATCHED[routine]()
