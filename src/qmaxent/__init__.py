@@ -25,7 +25,6 @@ from .errors import (
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
-    NonRealResult,
     NonSquare,
     NotHermitian,
     NotPositive,
@@ -98,7 +97,6 @@ __all__ = [
     "InputValidationError",
     "MaxEntSolution",
     "MaxIterExceeded",
-    "NonRealResult",
     "NonSquare",
     "NotHermitian",
     "NotPositive",

@@ -27,7 +27,6 @@ from .errors import (
     Infeasible,
     InputValidationError,
     NumericalFailure,
-    QuantumMaxEntError,
 )
 from .flow import integrate_flow
 from .geometry import metric_forms
@@ -37,13 +36,13 @@ from .operators import _check_controls, expectation
 __all__ = ["run", "main"]
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(InputValidationError):
+    """A command line that argparse refuses."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures through the JSON error path
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
@@ -108,9 +107,11 @@ def _load_json(path: str):
         raise InputValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _check_flags(args) -> None:
-    if "tol" in args:  # only the solving subcommands take --tol and --max-iter
-        _check_controls(args.tol, args.max_iter)
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _problem(args, mode: str):
@@ -163,9 +164,7 @@ def _dispatch(args):
         }
     elif args.command == "flow":
         problem = _problem(args, "flow")
-        trajectory = integrate_flow(
-            problem.prior, problem.observables[0], args.lambda_end, args.step
-        )
+        trajectory = integrate_flow(problem.prior, *problem.observables, args.lambda_end, args.step)
         final = trajectory.samples[-1]
         result = {
             "final_lambda": final.lam,
@@ -198,30 +197,25 @@ def run(argv) -> int:
     """Run one command; returns the process exit code."""
     try:
         args = _build_parser().parse_args(list(argv))
-        _check_flags(args)
+        if "tol" in args:  # only the solving subcommands take --tol and --max-iter
+            _check_controls(args.tol, args.max_iter)
         result, csv_rows = _dispatch(args)
-        payload = json.dumps(result, sort_keys=True) + "\n"
-        if args.output:
-            Path(args.output).write_text(payload, encoding="utf-8")
-        else:
-            sys.stdout.write(payload)
-        if csv_rows is not None and getattr(args, "csv", None):
+        if csv_rows is not None and args.csv:  # before stdout, so a failed write prints nothing
             lines = ["lambda,mean,trace_error"]
             lines += [f"{lam!r},{mean!r},{err!r}" for lam, mean, err in csv_rows]
-            Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write(args.csv, "\n".join(lines) + "\n")
+        payload = json.dumps(result, sort_keys=True) + "\n"
+        if args.output:
+            _write(args.output, payload)
+        else:
+            sys.stdout.write(payload)
         return 0
-    except _UsageError as exc:
-        return _emit_error(2, "UsageError", str(exc))
-    except InputValidationError as exc:
+    except InputValidationError as exc:  # UsageError included
         return _emit_error(2, type(exc).__name__, str(exc))
     except Infeasible as exc:
         return _emit_error(3, "Infeasible", str(exc))
     except NumericalFailure as exc:
         return _emit_error(4, type(exc).__name__, str(exc))
-    except QuantumMaxEntError as exc:  # pragma: no cover - defensive
-        return _emit_error(4, type(exc).__name__, str(exc))
-    except SystemExit:
-        raise
     except Exception as exc:  # malformed input must never take the process down
         return _emit_error(2, "InternalError", f"{type(exc).__name__}: {exc}")
 

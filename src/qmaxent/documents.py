@@ -24,7 +24,11 @@ __all__ = [
     "problem_from_document",
 ]
 
-MODES = ("maxent", "prior_tilt", "flow", "metric")
+# per mode: observable count (None: any), target count (None: one per observable) and
+# whether a prior is required; a maxent document may carry one
+_SHAPES = {"maxent": (None, None, False), "prior_tilt": (1, 1, True),
+           "flow": (1, 0, True), "metric": (2, 0, True)}
+MODES = tuple(_SHAPES)
 DOCUMENT_HERMITICITY_TOL = 1e-9
 MAX_DOCUMENT_DIM = 1024
 
@@ -95,7 +99,10 @@ class Problem:
 
 
 def problem_from_document(doc) -> Problem:
-    """Parse a problem document and enforce the per-mode shape rules."""
+    """Parse a problem document and enforce its mode's shape from ``_SHAPES``.
+
+    Targets in a ``flow`` or ``metric`` document are refused, not dropped.
+    """
     if not isinstance(doc, dict):
         raise InputValidationError("problem document must be a JSON object")
     mode = doc.get("mode")
@@ -115,22 +122,13 @@ def problem_from_document(doc) -> Problem:
         targets.append(float(t))
     prior = density_from_document(doc["prior"]) if doc.get("prior") is not None else None
 
-    if mode == "maxent":
-        if len(observables) != len(targets):
-            raise InputValidationError(
-                f"maxent mode needs matching lengths: {len(observables)} observables, "
-                f"{len(targets)} targets"
-            )
-    elif mode == "prior_tilt":
-        if len(observables) != 1 or len(targets) != 1 or prior is None:
-            raise InputValidationError(
-                "prior_tilt mode needs exactly one observable, one target, and a prior"
-            )
-    elif mode == "flow":
-        if len(observables) != 1 or prior is None:
-            raise InputValidationError("flow mode needs exactly one observable and a prior")
-    elif len(observables) != 2 or prior is None:  # metric
+    n_obs, n_targets, needs_prior = _SHAPES[mode]
+    n_obs = len(observables) if n_obs is None else n_obs
+    n_targets = n_obs if n_targets is None else n_targets
+    if (len(observables), len(targets)) != (n_obs, n_targets) or (needs_prior and prior is None):
         raise InputValidationError(
-            "metric mode needs exactly two observables and a prior (base state)"
+            f"{mode} mode needs {n_obs} observables, {n_targets} targets"
+            f"{' and a prior' if needs_prior else ''}; got {len(observables)}, "
+            f"{len(targets)} and {'a' if prior is not None else 'no'} prior"
         )
     return Problem(mode=mode, observables=observables, targets=tuple(targets), prior=prior)

@@ -22,7 +22,6 @@ __all__ = [
     "StepInvalid",
     "ConvergenceFailure",
     "DomainError",
-    "NonRealResult",
     "SupportViolation",
     "Overflow",
     "SingularBase",
@@ -85,10 +84,6 @@ class ConvergenceFailure(NumericalFailure):
 
 class DomainError(NumericalFailure):
     """A spectral function was evaluated outside its domain."""
-
-
-class NonRealResult(NumericalFailure):
-    """A quantity that must be real carries a large imaginary part."""
 
 
 class SupportViolation(NumericalFailure):

@@ -20,7 +20,6 @@ along the closed form to hit a target expectation value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .operators import (
     HermitianOperator,
     _check_controls,
     _common_dim,
+    _pairing,
     _tilt,
     _tilt_support,
     eig_hermitian,
@@ -55,7 +55,6 @@ __all__ = [
 
 POSITIVITY_LOSS_TOL = 1e-8
 MAX_STORED_SAMPLES = 1000
-_identity = cache(np.eye)  # built once per dimension, not at every RK4 stage; never written
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +84,17 @@ class FlowTrajectory:
 
 
 def _velocity(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """-(m D + D m)/2 with D = A - tr(m A) 1: the flow's velocity at the matrix m."""
-    delta = a - np.einsum("ij,ji->", m, a).real * _identity(len(a))
-    return -0.5 * (m @ delta + delta @ m)
+    """-(m D + D m)/2 with D = A - tr(m A) 1: the flow's velocity at the matrix m.
+
+    Expanded as tr(m A) m - (m A + A m)/2, tr(m A) taken by ``_pairing``.
+    """
+    return _pairing(m, a) * m - 0.5 * (m @ a + a @ m)
 
 
 def flow_field(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The tangent direction -R_rho(A - <A> 1): traceless, and the velocity RK4 steps along."""
     _common_dim(state, observable)
-    return HermitianOperator(_velocity(state.entries, observable.entries))
+    return HermitianOperator(hermitian_part(_velocity(state.entries, observable.entries)))
 
 
 def _check_positivity(y: np.ndarray, lam: float) -> None:

@@ -31,8 +31,8 @@ from .errors import DimMismatch, NotTraceless, SingularBase
 from .operators import (
     DensityOperator,
     HermitianOperator,
-    _checked_real,
     _common_dim,
+    _pairing,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -120,18 +120,13 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
 def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
     """g_rho(A, B) = <(AB + BA)/2> = tr[A R_rho(B)]: symmetric and bilinear in both slots."""
     _common_dim(state, a, b)
-    value = complex(np.einsum("ij,ji->", a.entries, raise_form(state, b).entries))
-    return _checked_real(value, "metric value")
+    return _pairing(a.entries, raise_form(state, b).entries)
 
 
-def metric_vectors(
-    state: DensityOperator, v: HermitianOperator, w: HermitianOperator
-) -> float:
+def metric_vectors(state: DensityOperator, v: HermitianOperator, w: HermitianOperator) -> float:
     """g_rho(V, W) = tr[W L_rho(V)]: the metric pulled to vector components."""
     _common_dim(state, v, w)
-    lowered = lower_vector(state, v)
-    value = complex(np.einsum("ij,ji->", w.entries, lowered.entries))
-    return _checked_real(value, "metric value", tol=1e-10)
+    return _pairing(w.entries, lower_vector(state, v).entries)
 
 
 def line_element(state: DensityOperator, d: TangentDecomposition) -> float:

@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmaxent import closed_form_flow, expectation, make_hermitian, metric_forms
 from qmaxent.cli import run
+from qmaxent.documents import operator_to_document
 
-from helpers import run_python
+from helpers import rand_density, rand_hermitian, run_python
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -193,6 +195,42 @@ class TestMetric:
         assert json.loads(out)["value"] == pytest.approx(0.0, abs=1e-14)
 
 
+class TestLargeObservables:
+    """A complex 6x6 instance scaled by 1e7: the rounding in its products far exceeds 1e-12."""
+
+    SCALE = 1e7
+
+    def instance(self, tmp_path, mode, n_obs):
+        rng = np.random.default_rng(3)
+        observables = [rand_hermitian(rng, 6) for _ in range(n_obs)]
+        state = rand_density(rng, 6, 0.01)
+        scaled = [make_hermitian(self.SCALE * a.entries) for a in observables]
+        doc = {
+            "mode": mode,
+            "observables": [operator_to_document(a) for a in scaled],
+            "prior": operator_to_document(state),
+        }
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(doc))
+        return str(path), state, observables
+
+    def test_metric(self, capsys, tmp_path):
+        path, state, (a, b) = self.instance(tmp_path, "metric", 2)
+        code, out, err = run_captured(capsys, ["metric", "--problem", path])
+        assert code == 0, err
+        expected = self.SCALE**2 * metric_forms(state, a, b)
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-12)
+
+    def test_flow(self, capsys, tmp_path):
+        path, state, (a,) = self.instance(tmp_path, "flow", 1)
+        argv = ["flow", "--problem", path, "--lambda-end", "1e-10", "--step", "1e-12"]
+        code, out, err = run_captured(capsys, argv)
+        assert code == 0, err
+        big = make_hermitian(self.SCALE * a.entries)
+        expected = expectation(closed_form_flow(state, big, 1e-10), big)
+        assert json.loads(out)["final_mean"] == pytest.approx(expected, rel=1e-12)
+
+
 class TestErrorMapping:
     def test_malformed_json(self, capsys):
         code, _, err = run_captured(
@@ -215,6 +253,31 @@ class TestErrorMapping:
     def test_wrong_mode(self, capsys):
         code, _, err = run_captured(capsys, ["tilt", "--problem", fixture("qubit_xz.json")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("flow_z.json", ["flow", "--lambda-end", "0.5"]), ("metric_xz.json", ["metric"])],
+    )
+    def test_targets_refused(self, capsys, tmp_path, name, argv):
+        doc = json.loads(Path(fixture(name)).read_text())
+        doc["targets"] = [0.3]
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code, out, err = run_captured(capsys, argv + ["--problem", str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "InputValidationError"
+
+    @pytest.mark.parametrize("flag", ["--csv", "--output"])
+    def test_unwritable_path(self, capsys, tmp_path, flag):
+        # the result must not reach stdout before a failed write
+        argv = ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "0.1"]
+        code, out, err = run_captured(capsys, argv + [flag, str(tmp_path / "missing" / "out")])
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)
+        assert message["error"] == "InputValidationError"
+        assert message["message"].startswith("cannot write")
 
     def test_unknown_flag(self, capsys):
         code, _, err = run_captured(capsys, ["estimate", "--nope"])

@@ -116,6 +116,12 @@ class TestProblemDocument:
         with pytest.raises(InputValidationError):
             problem_from_document(self.problem(mode="flow", n_targets=0, prior=False))
 
+    @pytest.mark.parametrize("mode, n_obs", [("flow", 1), ("metric", 2)])
+    def test_targets_refused(self, mode, n_obs):
+        # neither subcommand reads targets, so a document that carries them is refused
+        with pytest.raises(InputValidationError, match="0 targets"):
+            problem_from_document(self.problem(mode=mode, n_obs=n_obs, n_targets=1))
+
     def test_non_finite_target(self):
         doc = self.problem()
         doc["targets"] = [float("inf")]

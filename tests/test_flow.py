@@ -59,6 +59,22 @@ class TestFlowField:
             field = flow_field(rand_density(rng, n), rand_hermitian(rng, n))
             assert abs(np.trace(field.entries)) <= 1e-12
 
+    @pytest.mark.parametrize("scale", [1e5, 1e7, 1e10])
+    def test_large_observables(self, rng, scale):
+        # the field and a short trajectory at lam * scale = 1e-3 stay well defined;
+        # the rounding in their products grows with the observable's scale
+        for _ in range(20):
+            n = int(rng.integers(4, 9))
+            rho, a = rand_density(rng, n, 0.1 / n), rand_hermitian(rng, n)
+            big = make_hermitian(scale * a.entries)
+            field = flow_field(rho, big).entries
+            error = np.linalg.norm(field - scale * flow_field(rho, a).entries)
+            assert error <= 1e-12 * np.linalg.norm(field)
+            traj = integrate_flow(rho, big, 1e-3 / scale, 1e-5 / scale)
+            exact = closed_form_flow(rho, big, 1e-3 / scale)
+            assert trace_distance(traj.samples[-1].state, exact) <= 1e-12
+            assert traj.samples[-1].mean == pytest.approx(expectation(exact, big), rel=1e-12)
+
 
 class TestIntegrateFlow:
     def test_identity_observable_constant_trajectory(self, rng):

@@ -147,6 +147,19 @@ class TestMetric:
             rhs = metric_forms(rho, a, b)
             assert abs(lhs - rhs) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e5, 1e7, 1e10])
+    def test_quadratic_at_any_scale(self, rng, scale):
+        # both metrics are real by construction, however large the rounding in their products
+        for _ in range(20):
+            n = int(rng.integers(4, 9))
+            rho = rand_density(rng, n, 0.1 / n)
+            a, b = rand_hermitian(rng, n), rand_hermitian(rng, n)
+            sa, sb = make_hermitian(scale * a.entries), make_hermitian(scale * b.entries)
+            for metric in (metric_forms, metric_vectors):
+                assert metric(rho, sa, sb) == pytest.approx(
+                    scale**2 * metric(rho, a, b), rel=1e-12
+                )
+
 
 class TestLineElement:
     def test_classical_term(self):
