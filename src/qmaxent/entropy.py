@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SupportViolation
-from .operators import LOG_EIGENVALUE_FLOOR, DensityOperator, _common_dim, _weights
+from .operators import LOG_EIGENVALUE_FLOOR, DensityOperator, _common_dim, _eigh, _weights
 
 __all__ = ["von_neumann_entropy", "relative_entropy"]
 
@@ -40,7 +40,7 @@ def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
     weight on the kernel of ``prior``, where the value would be -infinity.
     """
     _common_dim(state, prior)
-    q, v = np.linalg.eigh(prior.entries)
+    q, v = _eigh(prior.entries)
     overlaps = _weights(state, v)
     kernel = q <= LOG_EIGENVALUE_FLOOR
     kernel_weight = float(overlaps[kernel].sum())

@@ -59,8 +59,8 @@ class TangentDecomposition:
     """Eigenvalue shifts dp, rotation angle dtheta, and rotation generator h.
 
     Interpreted in the eigenbasis of the base state (eigenvalues sorted
-    descending, deterministic phases).  The shifts must sum to zero so the
-    assembled direction preserves the trace.
+    descending, deterministic phases).  The shifts must sum to zero, to within
+    ``TRACELESS_TOL`` * max(1, max|dp_k|), so the assembled direction preserves the trace.
     """
 
     dp: np.ndarray
@@ -74,7 +74,7 @@ class TangentDecomposition:
         if not np.isfinite(dp).all() or not np.isfinite(self.dtheta):
             raise NotTraceless("dp and dtheta must be finite")
         total = abs(float(dp.sum()))
-        if total > TRACELESS_TOL:
+        if total > TRACELESS_TOL * max(1.0, float(np.abs(dp).max())):
             raise NotTraceless(f"eigenvalue shifts sum to {total:.3e}, expected 0")
         dp.setflags(write=False)
         object.__setattr__(self, "dp", dp)

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConvergenceFailure,
     DependentConstraints,
     DimMismatch,
     Infeasible,
@@ -67,6 +66,7 @@ from .operators import (
     HermitianOperator,
     _check_controls,
     _common_dim,
+    _eigh,
     _tilt,
     _tilt_support,
 )
@@ -268,13 +268,6 @@ def _aggregate(lam: np.ndarray, stacked: np.ndarray) -> np.ndarray:
     """sum_k lam_k A_k, one matrix-vector product with the flattened stack."""
     n = stacked.shape[-1]
     return (lam @ stacked.reshape(-1, n * n)).reshape(n, n)
-
-
-def _eigh(matrix: np.ndarray):
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
 
 def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -67,12 +67,39 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
     return matrix / 2.0 + matrix.conj().T / 2.0
 
 
+def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+    """(M + M†)/2 once M is finite and max|M - M†| <= tol * max(1, its largest |Re| or |Im|).
+
+    The package's one Hermiticity rule, relative above unit scale since rounding grows with
+    scale.  The scale reads the parts, whose moduli cannot overflow to an infinite margin.
+    """
+    if not np.isfinite(m).all():
+        raise InputValidationError("matrix entries must be finite")
+    with np.errstate(over="ignore"):  # an asymmetry beyond double range is inf, and refused
+        asymmetry = float(np.abs(m - m.conj().T).max())
+    bound = tol * max(1.0, float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    if asymmetry > bound:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} "
+            f"(tolerance {tol:.0e} * max(1, largest |Re| or |Im|) = {bound:.3e})"
+        )
+    return hermitian_part(m)
+
+
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of a Hermitian matrix; a LinAlgError becomes ConvergenceFailure."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A dense complex square matrix equal to its conjugate transpose.
 
-    Construction symmetrizes the input as (M + M†)/2 and rejects matrices
-    whose asymmetry max|M - M†| exceeds ``HERMITICITY_TOL``.
+    Construction refuses non-finite entries and an asymmetry max|M - M†| above
+    ``HERMITICITY_TOL`` * max(1, largest |Re M_ij| or |Im M_ij|), and stores (M + M†)/2.
     """
 
     entries: np.ndarray
@@ -81,16 +108,7 @@ class HermitianOperator:
         m = np.asarray(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonSquare(f"expected a nonempty square matrix, got shape {m.shape}")
-        m = m.astype(np.complex128, copy=True)
-        if not np.isfinite(m).all():
-            raise InputValidationError("matrix entries must be finite")
-        asymmetry = float(np.abs(m - m.conj().T).max())
-        if asymmetry > HERMITICITY_TOL:
-            raise NotHermitian(
-                f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} "
-                f"(tolerance {HERMITICITY_TOL:.0e})"
-            )
-        sym = hermitian_part(m)
+        sym = _hermitian(m.astype(np.complex128, copy=True), HERMITICITY_TOL)
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
 
@@ -131,10 +149,7 @@ def eig_hermitian(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude component is made real and positive.  This keeps
     repeated runs byte-identical.
     """
-    try:
-        w, v = np.linalg.eigh(operator.entries)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    w, v = _eigh(operator.entries)
     w = w[::-1].astype(np.float64)
     v = np.array(v[:, ::-1], order="C")
     anchor_rows = np.argmax(np.abs(v), axis=0)

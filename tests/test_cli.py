@@ -230,6 +230,27 @@ class TestLargeObservables:
         expected = expectation(closed_form_flow(state, big, 1e-10), big)
         assert json.loads(out)["final_mean"] == pytest.approx(expected, rel=1e-12)
 
+    def test_metric_of_computed_product(self, capsys, tmp_path):
+        # A = XY + YX at x1e5 has entries up to 9.2e10 and a rounding asymmetry of 1.6e-5
+        rng = np.random.default_rng(3)
+        x, y = (1e5 * rand_hermitian(rng, 6).entries for _ in range(2))
+        state = rand_density(rng, 6, 0.01)
+        a = x @ y + y @ x
+        doc = {
+            "mode": "metric",
+            "observables": [
+                {"dim": 6, "re": a.real.tolist(), "im": a.imag.tolist()},
+                operator_to_document(make_hermitian(x)),
+            ],
+            "prior": operator_to_document(state),
+        }
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_captured(capsys, ["metric", "--problem", str(path)])
+        assert code == 0, err
+        expected = metric_forms(state, make_hermitian(a), make_hermitian(x))
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestErrorMapping:
     def test_malformed_json(self, capsys):
@@ -249,6 +270,7 @@ class TestErrorMapping:
         )
         assert code == 2
         assert "symmetry" in json.loads(err)["message"]
+        assert json.loads(err)["error"] == "NotHermitian"
 
     def test_wrong_mode(self, capsys):
         code, _, err = run_captured(capsys, ["tilt", "--problem", fixture("qubit_xz.json")])

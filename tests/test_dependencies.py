@@ -1,4 +1,4 @@
-"""The package runs on numpy alone, and imports only what it uses."""
+"""The package runs on numpy alone and holds no unused import and no unread private name."""
 
 from __future__ import annotations
 
@@ -68,3 +68,52 @@ def test_no_unused_imports_in_the_package():
         if (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _unread_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no module reads.
+
+    A name is read when some module loads it by name, reads it as an attribute or
+    imports it.  ``sources`` maps module file names to their text.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{module}: {name} (line {node.lineno})"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return unread
+
+
+def test_unread_private_detection():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED: int = 2\n_ATTR = 3\n"
+        "def _helper():\n    return _USED\nclass _Dead:\n    pass\n__all__ = []\n",
+        "b.py": "import a\nfrom a import _helper\nprint(a._ATTR)\n",
+    }
+    assert _unread_privates(sources) == ["a.py: _UNUSED (line 2)", "a.py: _Dead (line 6)"]
+
+
+def test_no_unread_privates_in_the_package():
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _unread_privates(sources) == []

@@ -44,12 +44,24 @@ def test_density_round_trip_is_bit_exact(rng):
         lambda d: d.update(re=[[0.0, 1.0], [0.5, 0.0]]),
         lambda d: d.update(im=[[0.0, 1.0], [1.0, 0.0]]),
         lambda d: d.update(re=[[float("nan"), 0.0], [0.0, 0.0]]),
+        lambda d: d.update(im=[[0.0, float("inf")], [float("-inf"), 0.0]]),
+        lambda d: d.update(re=[[True, 0], [0, False]]),
+        lambda d: d.update(re=[["0.5", "1e0"], ["1", " 2 "]]),
+        lambda d: d.update(re=[[10**400, 0], [0, 0]]),
     ],
 )
 def test_invalid_operator_documents(mutate):
     doc = operator_to_document(make_density(np.eye(2) / 2))
     mutate(doc)
     with pytest.raises(InputValidationError):
+        operator_from_document(doc)
+
+
+@pytest.mark.parametrize("field, entry", [("re", True), ("im", "0")])
+def test_matrix_entries_must_be_numbers(field, entry):
+    doc = operator_to_document(make_density(np.eye(2) / 2))
+    doc[field][0][1] = doc[field][1][0] = entry
+    with pytest.raises(InputValidationError, match=f"'{field}' entries must be numbers"):
         operator_from_document(doc)
 
 
@@ -132,6 +144,13 @@ class TestProblemDocument:
         doc = self.problem()
         doc["targets"] = [True]
         with pytest.raises(InputValidationError):
+            problem_from_document(doc)
+
+    @pytest.mark.parametrize("targets", [[10**400], ["0.1"], [[0.1]]])
+    def test_targets_must_be_numbers(self, targets):
+        doc = self.problem()
+        doc["targets"] = targets
+        with pytest.raises(InputValidationError, match="targets"):
             problem_from_document(doc)
 
     def test_pauli_observable_accepted(self):

@@ -34,6 +34,13 @@ class TestTypes:
             TangentDecomposition(dp=[0.1, 0.0], dtheta=0.0, h=SX)
         TangentDecomposition(dp=[0.1, -0.1], dtheta=0.0, h=SX)
 
+    def test_large_shifts_balance_to_their_rounding(self):
+        # one ulp of 1e5 is 1.46e-11: these shifts sum to 5.8e-12 and cannot sum closer to 0
+        h = make_hermitian(np.zeros((3, 3)))
+        TangentDecomposition(dp=[1e5 + 0.1, -1e5, -0.1], dtheta=0.0, h=h)
+        with pytest.raises(NotTraceless):
+            TangentDecomposition(dp=[1e5, -1e5 + 1e-6, 0.0], dtheta=0.0, h=h)
+
     def test_decomposition_dim_check(self):
         with pytest.raises(DimMismatch):
             TangentDecomposition(dp=[0.1, -0.1, 0.0], dtheta=0.0, h=SX)

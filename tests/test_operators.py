@@ -5,6 +5,7 @@ import pytest
 
 import qmaxent as qm
 from qmaxent import (
+    ConvergenceFailure,
     DimMismatch,
     DomainError,
     NonSquare,
@@ -16,6 +17,7 @@ from qmaxent import (
     commutator_norm,
     eig_hermitian,
     expectation,
+    hermitian_part,
     make_density,
     make_hermitian,
     trace_distance,
@@ -38,6 +40,30 @@ class TestMakeHermitian:
         raw = np.array([[1.0, 1e-13j], [-1.001e-13j, 1.0]])
         op = make_hermitian(raw)
         assert np.abs(op.entries - op.entries.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("scale", [1e4, 1e7, 1e10])
+    def test_computed_product_at_any_scale(self, rng, scale):
+        # the rounding asymmetry of XY + YX grows with its entries, and so does the margin
+        for _ in range(20):
+            n = int(rng.integers(4, 9))
+            x, y = (scale * rand_hermitian(rng, n).entries for _ in range(2))
+            raw = x @ y + y @ x
+            assert np.array_equal(make_hermitian(raw).entries, hermitian_part(raw))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # the margin is 1e-12 of the largest part, 1e-4 here: an asymmetry of 1 is refused
+            [[1e8, 1.0], [0.0, 1e8]],
+            # a modulus beyond double range leaves the margin finite and the asymmetry infinite
+            [[0.0, 1.5e308 + 1.5e308j], [0.0, 0.0]],
+            # M - M† overflows: refused as NotHermitian, without an overflow warning
+            [[0.0, 1e308], [-1e308, 0.0]],
+        ],
+    )
+    def test_large_asymmetry_rejected_at_large_scale(self, raw):
+        with pytest.raises(NotHermitian, match="symmetry"):
+            make_hermitian(np.array(raw))
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquare):
@@ -243,3 +269,21 @@ MISMATCHED = {
 def test_operands_share_one_dimension(routine):
     with pytest.raises(DimMismatch, match="operand dimensions differ"):
         MISMATCHED[routine]()
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [
+        lambda: eig_hermitian(_A3),
+        lambda: qm.relative_entropy(_RHO2, _RHO2),
+        lambda: qm.gibbs_state([0.1], (_A2,)),
+    ],
+    ids=["eig_hermitian", "relative_entropy", "gibbs_state"],
+)
+def test_eigensolver_failure_is_typed(monkeypatch, routine):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure, match="eigendecomposition failed"):
+        routine()
