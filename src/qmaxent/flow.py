@@ -11,10 +11,10 @@ whose solution through rho0 has the closed symmetric-exponential form
     rho(lam) = exp(-lam A / 2) rho0 exp(-lam A / 2) / tr(exp(-lam A) rho0).
 
 This module provides the vector field, a fixed-step classical 4th-order
-integrator (the closed form serves as its exact oracle, so the integrator
-deliberately stays simple: no adaptivity, no trace renormalization), the
-closed form itself, and bracketed root-finding (Illinois regula falsi)
-along the closed form to hit a target expectation value.
+integrator in A's eigenbasis with one spectrum per step (the closed form is
+its exact oracle, so it deliberately stays simple: no adaptivity, no trace
+renormalization), the closed form itself, and bracketed root-finding
+(Illinois regula falsi) along the closed form to hit a target expectation value.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .operators import (
     HermitianOperator,
     _check_controls,
     _common_dim,
+    _eigh,
+    _measured_density,
     _pairing,
     _tilt,
     _tilt_support,
@@ -84,10 +86,7 @@ class FlowTrajectory:
 
 
 def _velocity(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """-(m D + D m)/2 with D = A - tr(m A) 1: the flow's velocity at the matrix m.
-
-    Expanded as tr(m A) m - (m A + A m)/2, tr(m A) taken by ``_pairing``.
-    """
+    """The velocity -(mD + Dm)/2 at m, D = A - tr(mA) 1, as tr(mA) m - (mA + Am)/2."""
     return _pairing(m, a) * m - 0.5 * (m @ a + a @ m)
 
 
@@ -95,12 +94,6 @@ def flow_field(state: DensityOperator, observable: HermitianOperator) -> Hermiti
     """The tangent direction -R_rho(A - <A> 1): traceless, and the velocity RK4 steps along."""
     _common_dim(state, observable)
     return HermitianOperator(hermitian_part(_velocity(state.entries, observable.entries)))
-
-
-def _check_positivity(y: np.ndarray, lam: float) -> None:
-    smallest = float(np.linalg.eigvalsh(y)[0])
-    if smallest < -POSITIVITY_LOSS_TOL:
-        raise PositivityLoss(f"eigenvalue {smallest:.3e} at lambda {lam:.6g}; reduce the step")
 
 
 def integrate_flow(
@@ -111,13 +104,15 @@ def integrate_flow(
 ) -> FlowTrajectory:
     """Integrate the flow from ``start`` over [0, lambda_end] with fixed steps.
 
-    Classical 4th-order Runge-Kutta.  A negative ``lambda_end`` integrates
-    the same equation in the opposite parameter direction.  The trace is
-    never renormalized, so trace drift measures integrator error.  A step
-    too coarse for the problem raises PositivityLoss: at an eigenvalue below
-    -1e-8, or at a recorded state that fails DensityOperator validation,
-    whose failed invariant it names.  Roughly every ceil(n_steps/1000)-th
-    step is recorded, plus the endpoint.
+    Classical 4th-order Runge-Kutta on y = V† rho V, A = V diag(a) V† diagonalized once:
+    the matrix-form scheme up to rounding, as Runge-Kutta commutes with a fixed change of
+    basis.  Each stage is elementwise, (sum_k a_k y_kk - (a_i + a_j)/2) y_ij, so y stays
+    exactly Hermitian.  A negative ``lambda_end`` integrates in the opposite direction; the
+    trace is never renormalized, so its drift measures integrator error.  A step too coarse
+    raises PositivityLoss: at a non-finite iterate, at an eigenvalue below -1e-8 in the one
+    spectrum of y taken per step, or at a recorded state V y V† failing the density rule on
+    that spectrum and trace sum_i y_ii, whose failed invariant it names.  About every
+    ceil(n_steps/1000)-th step is recorded, plus the endpoint, with mean sum_i a_i y_ii.
     """
     _common_dim(start, observable)
     if not (np.isfinite(step) and step > 0.0):
@@ -125,36 +120,47 @@ def integrate_flow(
     if not np.isfinite(lambda_end):
         raise StepInvalid(f"lambda_end must be finite, got {lambda_end!r}")
 
-    a = observable.entries
     length = abs(float(lambda_end))
     sign = 1.0 if lambda_end >= 0.0 else -1.0
     ratio = length / step
+    if not np.isfinite(ratio):
+        raise StepInvalid(f"step {step!r} gives no finite step count to lambda_end {lambda_end!r}")
     n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
     record_every = max(1, int(np.ceil(n_steps / MAX_STORED_SAMPLES)))
 
-    y = np.array(start.entries, dtype=np.complex128)
+    a, v = _eigh(observable.entries)
+    vh = v.conj().T
+    pair = (a[:, None] / 2.0 + a[None, :] / 2.0).astype(np.complex128)  # complex: no casts
+    sums = np.stack([np.ones_like(a), a])  # a diagonal's trace and mean
+
+    def rhs(m: np.ndarray) -> np.ndarray:
+        return (m.diagonal().real @ a - pair) * m
+
+    y = hermitian_part(vh @ start.entries @ v)
     samples = [FlowSample(0.0, start, expectation(start, observable))]
-    for k in range(1, n_steps + 1):
-        lam_prev = sign * min((k - 1) * step, length)
-        lam_k = sign * min(k * step, length)
-        h = lam_k - lam_prev
-        k1 = _velocity(y, a)
-        k2 = _velocity(y + (h / 2.0) * k1, a)
-        k3 = _velocity(y + (h / 2.0) * k2, a)
-        k4 = _velocity(y + h * k3, a)
-        y = hermitian_part(y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if k == n_steps or k % record_every == 0:
-            try:
-                state = DensityOperator(y)
-            except InputValidationError as exc:
-                _check_positivity(y, lam_k)
-                raise PositivityLoss(
-                    f"state at lambda {lam_k:.6g} is not a density operator "
-                    f"({type(exc).__name__}: {exc}); reduce the step"
-                ) from exc
-            samples.append(FlowSample(float(lam_k), state, expectation(state, observable)))
-        else:
-            _check_positivity(y, lam_k)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
+        for k in range(1, n_steps + 1):
+            lam = sign * min(k * step, length)
+            h = lam - sign * min((k - 1) * step, length)
+            k1 = rhs(y)
+            k2 = rhs(y + (h / 2.0) * k1)
+            k3 = rhs(y + (h / 2.0) * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not np.isfinite(y).all():
+                raise PositivityLoss(f"state at lambda {lam:.6g} is not finite; reduce the step")
+            if (low := float(np.linalg.eigvalsh(y)[0])) < -POSITIVITY_LOSS_TOL:
+                raise PositivityLoss(f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step")
+            if k == n_steps or k % record_every == 0:
+                trace, mean = (sums @ y.diagonal().real).tolist()
+                try:
+                    state = _measured_density(hermitian_part(v @ y @ vh), trace, low)
+                except InputValidationError as exc:
+                    raise PositivityLoss(
+                        f"state at lambda {lam:.6g} is not a density operator "
+                        f"({type(exc).__name__}: {exc}); reduce the step"
+                    ) from exc
+                samples.append(FlowSample(float(lam), state, mean))
     return FlowTrajectory(observable=observable, samples=tuple(samples), step=float(step))
 
 

@@ -63,8 +63,10 @@ SUPPORT_FLOOR = 1e-14
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """Return (M + M†) / 2, each term halved first so that the sum cannot overflow."""
-    return matrix / 2.0 + matrix.conj().T / 2.0
+    """(M + M†)/2, halving each term first so no sum overflows; an entry equal to M†'s stays."""
+    out = matrix / 2.0 + matrix.conj().T / 2.0
+    np.copyto(out, matrix, where=(out != matrix) & (matrix == matrix.conj().T))
+    return out
 
 
 def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
@@ -117,19 +119,30 @@ class HermitianOperator:
         return self.entries.shape[0]
 
 
+def _density_rule(trace: float, smallest) -> None:
+    """The density rule: |trace - 1| <= TRACE_TOL, then smallest() >= -POSITIVITY_TOL."""
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise TraceNotOne(f"trace is {trace!r}, expected 1 within {TRACE_TOL:.0e}")
+    if (value := smallest()) < -POSITIVITY_TOL:
+        raise NotPositive(f"smallest eigenvalue {value:.3e} below -{POSITIVITY_TOL:.0e}")
+
+
 class DensityOperator(HermitianOperator):
     """Hermitian, unit-trace, positive-semidefinite operator."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        trace = float(np.trace(self.entries).real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise TraceNotOne(f"trace is {trace!r}, expected 1 within {TRACE_TOL:.0e}")
-        smallest = float(np.linalg.eigvalsh(self.entries)[0])
-        if smallest < -POSITIVITY_TOL:
-            raise NotPositive(
-                f"smallest eigenvalue {smallest:.3e} below -{POSITIVITY_TOL:.0e}"
-            )
+        m = self.entries
+        _density_rule(float(np.trace(m).real), lambda: float(np.linalg.eigvalsh(m)[0]))
+
+
+def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
+    """A DensityOperator of Hermitian ``entries``, judged on their given trace and spectrum."""
+    _density_rule(trace, lambda: smallest)
+    entries.setflags(write=False)
+    state = object.__new__(DensityOperator)
+    object.__setattr__(state, "entries", entries)
+    return state
 
 
 def make_hermitian(raw) -> HermitianOperator:

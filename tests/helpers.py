@@ -71,6 +71,40 @@ def rand_spectrum_hermitian(
     return make_hermitian((u * w) @ u.conj().T)
 
 
+def rk4_matrix_flow(
+    start: DensityOperator, observable: HermitianOperator, lambda_end: float, step: float
+) -> list[tuple[float, np.ndarray, float]]:
+    """Classical RK4 of the flow in matrix form, recorded where ``integrate_flow`` records.
+
+    Each stage is the velocity tr(yA) y - (yA + Ay)/2 in the fixed basis, with no change
+    of basis; each step is symmetrized.  Returns (lam, state matrix, tr(state A)) per
+    recorded step, starting at lam = 0.
+    """
+    a = observable.entries
+    length, sign = abs(lambda_end), (1.0 if lambda_end >= 0.0 else -1.0)
+    ratio = length / step
+    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    every = max(1, int(np.ceil(n_steps / 1000)))
+
+    def velocity(y):
+        return np.trace(y @ a).real * y - 0.5 * (y @ a + a @ y)
+
+    y = np.array(start.entries, dtype=complex)
+    out = [(0.0, y, float(np.trace(y @ a).real))]
+    for k in range(1, n_steps + 1):
+        lam = sign * min(k * step, length)
+        h = lam - sign * min((k - 1) * step, length)
+        k1 = velocity(y)
+        k2 = velocity(y + (h / 2.0) * k1)
+        k3 = velocity(y + (h / 2.0) * k2)
+        k4 = velocity(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = (y + y.conj().T) / 2.0
+        if k == n_steps or k % every == 0:
+            out.append((lam, y, float(np.trace(y @ a).real)))
+    return out
+
+
 def bloch_state(r) -> DensityOperator:
     r = np.asarray(r, dtype=float)
     return make_density(

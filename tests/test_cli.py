@@ -171,6 +171,15 @@ class TestFlow:
         assert code == 2
         assert json.loads(err)["error"] == "StepInvalid"
 
+    def test_step_count_overflow_exit_code(self, capsys):
+        argv = ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "1.0"]
+        code, out, err = run_captured(capsys, argv + ["--step", "5e-324"])
+        assert (code, out) == (2, "")
+        message = json.loads(err)
+        assert message["error"] == "StepInvalid"
+        assert "step 5e-324" in message["message"]
+        assert "lambda_end 1.0" in message["message"]
+
     def test_invalid_recorded_state_exit_code(self, capsys, tmp_path):
         psi = np.array([np.cos(0.286), np.sin(0.286)])
         document = json.loads(Path(fixture("flow_z.json")).read_text())

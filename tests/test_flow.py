@@ -29,6 +29,7 @@ from helpers import (
     rand_density,
     rand_hermitian,
     rand_hermitian_radius,
+    rk4_matrix_flow,
     zero_pairing_tangent,
 )
 
@@ -107,6 +108,21 @@ class TestIntegrateFlow:
         with pytest.raises(StepInvalid):
             integrate_flow(UNIFORM, SZ, 1.0, step=-1e-3)
 
+    def test_step_count_must_be_finite(self):
+        # 1.0 / 5e-324 overflows to an infinite step count
+        with pytest.raises(StepInvalid, match=r"step 5e-324 .* lambda_end 1\.0"):
+            integrate_flow(UNIFORM, SZ, 1.0, 5e-324)
+        with pytest.raises(StepInvalid, match=r"step 1e-310 .* lambda_end -1e\+300"):
+            integrate_flow(UNIFORM, SZ, -1e300, 1e-310)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300])
+    def test_non_finite_iterate_is_positivity_loss(self, scale):
+        # a step of 0.5 along scale * sigma_z overflows within its stages
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityLoss, match="lambda 0.5 is not finite"):
+                integrate_flow(UNIFORM, make_hermitian(scale * SIGMA_Z), 1.0, 0.5)
+
     def test_coarse_step_positivity_loss(self):
         nearly_pure = make_density(np.diag([0.9999999, 1e-7]))
         strong = make_hermitian(10.0 * SIGMA_Z)
@@ -122,10 +138,11 @@ class TestIntegrateFlow:
             integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
 
     def test_one_eigvalsh_per_step(self, eig_calls):
-        # a recorded step's validation doubles as its positivity check
+        # one eigh of A sets up the eigenbasis; each step's one spectrum serves both the
+        # step's positivity check and a recorded state's validation
         eig_calls.clear()
         integrate_flow(UNIFORM, SZ, 1.0, 1e-3)
-        assert eig_calls == {"eigvalsh": 1000}
+        assert eig_calls == {"eigh": 1, "eigvalsh": 1000}
 
     def test_sample_budget(self):
         traj = integrate_flow(UNIFORM, SZ, 2.0, 1e-3)
@@ -169,6 +186,46 @@ class TestIntegrateFlow:
             means = [s.mean for s in traj.samples]
             assert np.all(np.diff(means) <= 0.0)
             assert np.all(np.diff(means) < 0.0)  # strict for generic observables
+
+
+def assert_matches_matrix_form(rho, a, lambda_end, step):
+    """Every recorded sample within 1e-12 in trace distance of the matrix-form RK4.
+
+    Means are compared relative to the spectral radius of A, which bounds |tr(dX A)|
+    per unit of trace norm.
+    """
+    samples = integrate_flow(rho, a, lambda_end, step).samples
+    reference = rk4_matrix_flow(rho, a, lambda_end, step)
+    assert [s.lam for s in samples] == [lam for lam, _, _ in reference]
+    radius = max(1.0, float(np.abs(np.linalg.eigvalsh(a.entries)).max()))
+    for sample, (_, y, mean) in zip(samples, reference):
+        assert 0.5 * np.abs(np.linalg.eigvalsh(sample.state.entries - y)).sum() <= 1e-12
+        assert abs(sample.mean - mean) <= 1e-12 * radius
+
+
+class TestMatrixFormReference:
+    # a Runge-Kutta method commutes with a fixed change of basis, so integrating in A's
+    # eigenbasis reproduces the matrix-form iterates up to rounding
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_instances(self, rng, n):
+        for lambda_end in (1.0, -1.0):
+            a = rand_hermitian_radius(rng, n, 5.0)
+            rho0 = rand_density(rng, n, min_eig=0.1 / n)
+            assert_matches_matrix_form(rho0, a, lambda_end, 1e-2)
+
+    def test_thinned_record(self, rng):
+        # 2000 steps record every second one
+        a, rho0 = rand_hermitian_radius(rng, 4, 5.0), rand_density(rng, 4, min_eig=0.025)
+        assert_matches_matrix_form(rho0, a, -2.0, 1e-3)
+
+    @pytest.mark.parametrize("scale", [1e5, 1e7, 1e10])
+    def test_large_observables(self, rng, scale):
+        for _ in range(5):
+            n = int(rng.integers(4, 9))
+            rho, a = rand_density(rng, n, 0.1 / n), rand_hermitian(rng, n)
+            big = make_hermitian(scale * a.entries)
+            assert_matches_matrix_form(rho, big, 1e-3 / scale, 1e-5 / scale)
 
 
 class TestClosedForm:

@@ -41,6 +41,32 @@ class TestMakeHermitian:
         op = make_hermitian(raw)
         assert np.abs(op.entries - op.entries.conj().T).max() == 0.0
 
+    @pytest.mark.parametrize("tiny", [5e-324, 1.5e-323, 2.225073858507203e-308])
+    def test_exact_hermitian_stored_unchanged(self, tiny):
+        # halving rounds these (5e-324 / 2 is 0), so an exactly Hermitian entry is kept
+        for raw in ([[1.0, tiny], [tiny, 1.0]], [[tiny, 1j * tiny], [-1j * tiny, 0.5]]):
+            raw = np.array(raw, dtype=complex)
+            assert np.array_equal(make_hermitian(raw).entries, raw)
+
+    def test_halved_sum_otherwise(self, rng):
+        # entries unequal to their mirror's conjugate are halved first, bit for bit; so
+        # is every entry of a matrix without parts below twice the smallest normal
+        def same_bits(x, y):
+            """Entrywise: both parts of x and y have the same bits, signs of zero included."""
+            bits = (m.view(np.int64).reshape(*m.shape, 2) for m in (x, y))
+            return np.equal(*bits).all(axis=-1)
+
+        values = np.array([0.0, -0.0, 5e-324, 1e-323, 0.5, -1.25, 1.5e308, -1.7e308])
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            raw = rng.choice(values, (n, n)) + 1j * rng.choice(values, (n, n))
+            same = same_bits(hermitian_part(raw), raw / 2.0 + raw.conj().T / 2.0)
+            assert same[raw != raw.conj().T].all()
+        x, y = (rand_hermitian(rng, 6).entries for _ in range(2))
+        for raw in (x.copy(), x @ y):
+            raw[0, 0], raw[1, 2], raw[2, 1] = -0.0, complex(-0.0, -0.0), complex(-0.0, 0.0)
+            assert same_bits(hermitian_part(raw), raw / 2.0 + raw.conj().T / 2.0).all()
+
     @pytest.mark.parametrize("scale", [1e4, 1e7, 1e10])
     def test_computed_product_at_any_scale(self, rng, scale):
         # the rounding asymmetry of XY + YX grows with its entries, and so does the margin
