@@ -38,13 +38,13 @@ from .operators import (
     _common_dim,
     _eigh,
     _measured_density,
-    _pairing,
     _tilt,
     _tilt_support,
     eig_hermitian,
     expectation,
     hermitian_part,
 )
+from .geometry import raise_form, zero_mean_form
 
 __all__ = [
     "FlowSample",
@@ -57,6 +57,7 @@ __all__ = [
 
 POSITIVITY_LOSS_TOL = 1e-8
 MAX_STORED_SAMPLES = 1000
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,15 +86,9 @@ class FlowTrajectory:
             raise InputValidationError("sample parameters must be strictly monotone")
 
 
-def _velocity(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The velocity -(mD + Dm)/2 at m, D = A - tr(mA) 1, as tr(mA) m - (mA + Am)/2."""
-    return _pairing(m, a) * m - 0.5 * (m @ a + a @ m)
-
-
 def flow_field(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
-    """The tangent direction -R_rho(A - <A> 1): traceless, and the velocity RK4 steps along."""
-    _common_dim(state, observable)
-    return HermitianOperator(hermitian_part(_velocity(state.entries, observable.entries)))
+    """The flow's velocity -R_rho(A - <A> 1) at ``state``: the raised zero-mean form, traceless."""
+    return HermitianOperator(-raise_form(state, zero_mean_form(state, observable)).entries)
 
 
 def integrate_flow(
@@ -108,7 +103,8 @@ def integrate_flow(
     the matrix-form scheme up to rounding, as Runge-Kutta commutes with a fixed change of
     basis.  Each stage is elementwise, (sum_k a_k y_kk - (a_i + a_j)/2) y_ij, so y stays
     exactly Hermitian.  A negative ``lambda_end`` integrates in the opposite direction; the
-    trace is never renormalized, so its drift measures integrator error.  A step too coarse
+    trace is never renormalized, so its drift measures integrator error.  A ``step`` giving
+    more than ``MAX_STEPS`` (10^6) steps to ``lambda_end`` raises StepInvalid.  A step too coarse
     raises PositivityLoss: at a non-finite iterate, at an eigenvalue below -1e-8 in the one
     spectrum of y taken per step, or at a recorded state V y V† failing the density rule on
     that spectrum and trace sum_i y_ii, whose failed invariant it names.  About every
@@ -123,8 +119,8 @@ def integrate_flow(
     length = abs(float(lambda_end))
     sign = 1.0 if lambda_end >= 0.0 else -1.0
     ratio = length / step
-    if not np.isfinite(ratio):
-        raise StepInvalid(f"step {step!r} gives no finite step count to lambda_end {lambda_end!r}")
+    if not ratio <= MAX_STEPS:  # an infinite ratio too
+        raise StepInvalid(f"step {step!r} needs > {MAX_STEPS} steps to lambda_end {lambda_end!r}")
     n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
     record_every = max(1, int(np.ceil(n_steps / MAX_STORED_SAMPLES)))
 

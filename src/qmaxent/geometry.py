@@ -9,11 +9,14 @@ is the expectation of their symmetrized product,
     g_rho(A, B) = < (AB + BA) / 2 >_rho = tr[A (rho B + B rho) / 2],
 
 with the raising operator R_rho(B) = (rho B + B rho)/2 mapping forms to
-vectors and its inverse L_rho (lowering) solving rho X + X rho = 2 V by
-entrywise division in the eigenbasis of rho.  In coordinates (eigenvalue
-shifts dp, an infinitesimal rotation angle dtheta with Hermitian generator
-h) the line element splits into a Fisher-like classical term and a
-rotation term:
+vectors and its inverse L_rho (lowering) solving rho X + X rho = 2 V.  Each
+monotone metric (Petz) maps X -> V (K o V^dag X V) V^dag, rho = V diag(p) V^dag,
+with a kernel of its own: (p_j + p_k)/2 raises in this symmetric-product metric
+(written basis-free) and 2/(p_j + p_k) lowers; the Kubo-Mori kernel of the
+MaxEnt dual's Hessian (``maxent._kubo_mori_product``) is the logarithmic mean.
+In coordinates (eigenvalue shifts dp, an infinitesimal rotation angle dtheta
+with Hermitian generator h) the line element splits into a Fisher-like
+classical term and a rotation term:
 
     ds^2 = sum_k dp_k^2 / p_k
            + 2 dtheta^2 sum_{j != k} (p_j - p_k)^2 / (p_j + p_k) |h_jk|^2,
@@ -32,6 +35,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _common_dim,
+    _in_basis,
     _pairing,
     eig_hermitian,
     expectation,
@@ -81,21 +85,27 @@ class TangentDecomposition:
         object.__setattr__(self, "dtheta", float(self.dtheta))
 
 
-def _full_rank_eig(state: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+def _lowering_kernel(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, V, K) of a full-rank state: its eigensystem and the lowering kernel 2/(p_j + p_k)."""
     p, v = eig_hermitian(state)
     if float(p[-1]) <= FULL_RANK_FLOOR:
         raise SingularBase(
             f"state eigenvalue {p[-1]:.3e} at or below the "
             f"full-rank floor {FULL_RANK_FLOOR:.0e}"
         )
-    return p, v
+    return p, v, 2.0 / (p[:, None] + p[None, :])
+
+
+def _tangent_in_basis(p: np.ndarray, d: TangentDecomposition) -> np.ndarray:
+    """diag(dp) + i dtheta (p_k - p_j) h_jk: the direction ``d`` in the eigenbasis of rho."""
+    return np.diag(d.dp.astype(complex)) + 1j * d.dtheta * (p[None, :] - p[:, None]) * d.h.entries
 
 
 def raise_form(state: DensityOperator, form: HermitianOperator) -> HermitianOperator:
     """R_rho(B) = (rho B + B rho) / 2, mapping 1-forms to vector components.
 
-    The result is Hermitian but generally not traceless: only zero-mean
-    forms raise to tangent vectors.
+    The kernel map with K_jk = (p_j + p_k)/2, written basis-free (no eigh); the result
+    is Hermitian but generally not traceless: only zero-mean forms raise to tangent vectors.
     """
     _common_dim(state, form)
     out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
@@ -110,11 +120,8 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
     SingularBase.
     """
     _common_dim(state, vector)
-    p, v = _full_rank_eig(state)
-    tilde = v.conj().T @ vector.entries @ v
-    tilde = 2.0 * tilde / (p[:, None] + p[None, :])
-    out = v @ tilde @ v.conj().T
-    return HermitianOperator(hermitian_part(out))
+    _, v, kernel = _lowering_kernel(state)
+    return HermitianOperator(hermitian_part(_in_basis(vector.entries, v, kernel)))
 
 
 def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
@@ -132,20 +139,13 @@ def metric_vectors(state: DensityOperator, v: HermitianOperator, w: HermitianOpe
 def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     """Squared length of the direction described by ``d`` at ``state``.
 
-    Equals metric_vectors on the assembled direction; the rotation term has
-    vanishing coefficients inside degenerate eigenvalue blocks, so the
-    generator entries there are irrelevant by construction.
+    sum_jk |T_jk|^2 2/(p_j + p_k), T the direction in rho's eigenbasis, which equals
+    metric_vectors on the assembled direction.  Its diagonal is the classical term, the rest
+    the rotation term, whose T_jk vanish inside degenerate eigenvalue blocks.
     """
     _common_dim(state, d.h)
-    p = _full_rank_eig(state)[0]
-    classical = float((d.dp**2 / p).sum())
-    diff = p[:, None] - p[None, :]
-    rotation = float(
-        2.0
-        * d.dtheta**2
-        * (diff**2 / (p[:, None] + p[None, :]) * np.abs(d.h.entries) ** 2).sum()
-    )
-    return classical + rotation
+    p, _, kernel = _lowering_kernel(state)
+    return float((np.abs(_tangent_in_basis(p, d)) ** 2 * kernel).sum())
 
 
 def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> HermitianOperator:
@@ -156,9 +156,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     """
     _common_dim(state, d.h)
     p, v = eig_hermitian(state)
-    inner = np.diag(d.dp.astype(np.complex128))
-    inner = inner + 1j * d.dtheta * (p[None, :] - p[:, None]) * d.h.entries
-    out = v @ inner @ v.conj().T
+    out = v @ _tangent_in_basis(p, d) @ v.conj().T
     return HermitianOperator(hermitian_part(out))
 
 

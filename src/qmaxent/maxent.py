@@ -67,6 +67,7 @@ from .operators import (
     _check_controls,
     _common_dim,
     _eigh,
+    _in_basis,
     _tilt,
     _tilt_support,
 )
@@ -84,7 +85,6 @@ __all__ = [
     "classical_gibbs_oracle",
 ]
 
-MULTIPLIER_CAP = 1e4
 GRAM_CONDITION_LIMIT = 1e12
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -125,6 +125,7 @@ class ConstraintSet:
             raise DimMismatch("dimension required when no observables are given")
         dim = _common_dim(*observables, dim=self.dim)
         stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
+        # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y, as in _pairing
         parts = stacked.reshape(-1, dim * dim).view(np.float64)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
             squares = np.einsum("ki,ki->k", parts, parts)  # ||A_k||_F^2, inf if it overflows
@@ -140,7 +141,7 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range {span}; "
                     "the multiplier would diverge"
                 )
-        precond = self._check_independent(stacked, squares, observables)
+        precond = self._check_independent(parts, dim, squares, observables)
         stacked.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
@@ -168,20 +169,17 @@ class ConstraintSet:
         return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
-    def _check_independent(stacked: np.ndarray, squares: np.ndarray, observables) -> np.ndarray:
+    def _check_independent(parts: np.ndarray, dim: int, squares: np.ndarray, observables):
         """n G^-1, G the Gram matrix of the traceless parts, after a scale-free independence check.
 
-        The check reads D^-1/2 G D^-1/2, D = diag G, G formed from ``stacked`` with its
-        diagonals centered in place, then restored.  Rows whose ||A_k||_F^2 (``squares``)
-        is outside (2^-800, 2^800), where G could overflow or underflow, are scaled to unit
-        peak entry (a zero row by the smallest normal number), then copied back from
-        ``observables``.  G is refused when it, or n G^-1, is not finite.
+        The check reads D^-1/2 G D^-1/2, D = diag G, G formed from ``parts`` (the stack's
+        float64 view) with its diagonals centered in place, then restored.  Rows whose
+        ||A_k||_F^2 (``squares``) is outside (2^-800, 2^800), where G could overflow or
+        underflow, are scaled to unit peak entry (a zero row by the smallest normal number),
+        then copied back from ``observables``.  G is refused when it, or n G^-1, is not finite.
         """
-        m, dim = stacked.shape[:2]
-        # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y
-        parts = stacked.reshape(m, dim * dim).view(np.float64)
         extreme = np.flatnonzero(~((2.0**-800 < squares) & (squares < 2.0**800)))
-        scales = np.ones(m)
+        scales = np.ones(len(parts))
         scales[extreme] = np.abs(parts[extreme]).max(axis=1, initial=np.finfo(float).tiny)
         parts[extreme] /= scales[extreme, None]
         diagonal = parts[:, :: 2 * (dim + 1)]
@@ -190,7 +188,7 @@ class ConstraintSet:
         inner = parts @ parts.T
         diagonal[...] = saved
         for k in extreme:
-            stacked[k] = observables[k].entries
+            parts[k] = observables[k].entries.reshape(-1).view(np.float64)
         norms = np.sqrt(inner.diagonal())
         if not norms.all():
             raise DependentConstraints(
@@ -305,28 +303,29 @@ def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
     w, v = _eigh(_aggregate(lam, stacked))
     log_z = float(np.logaddexp.reduce(-w))
     state, p = _softmax_state(w, v)
-    # tr(rho A_k) = sum_ij (A_k)_ij conj(rho_ij) for Hermitian rho
-    achieved = (stacked.reshape(len(stacked), state.size) @ state.conj().ravel()).real
+    # tr(rho A_k) = sum_ij Re (A_k)_ij Re rho_ij + Im (A_k)_ij Im rho_ij, as in _pairing
+    parts = stacked.reshape(len(stacked), state.size).view(np.float64)
+    achieved = parts @ state.reshape(-1).view(np.float64)
     return log_z + float(lam @ targets), targets - achieved, state, log_z, (w, v, p)
 
 
 def _kubo_mori_product(stacked, achieved, w, v, p):
     """x -> H x, H the dual's Hessian (the Kubo-Mori metric of V diag(p) V^dag); no eigh.
 
-    H_jk = sum_ab (B_j)_ab conj((B_k)_ab) K_ab - <A_j><A_k> with B = V^dag A V and K_ab =
-    (p_a - p_b)/(w_b - w_a) = max(p_a, p_b) phi(|w_a - w_b|), phi(x) = -expm1(-x)/x,
-    phi(0) = 1: the latter form is exact on degenerate pairs and cannot overflow.
+    (H x)_j = tr(A_j Y) - <A_j> sum_k <A_k> x_k, Y = V (K o V^dag X V) V^dag, X = sum_k x_k A_k,
+    with the Kubo-Mori kernel K_ab = (p_a - p_b)/(w_b - w_a), the logarithmic mean, written
+    max(p_a, p_b) phi(|w_a - w_b|), phi(x) = -expm1(-x)/x, phi(0) = 1: that form is exact
+    on degenerate pairs and cannot overflow.
     """
     gap = np.abs(w[:, None] - w[None, :])
     phi = np.ones_like(gap)
     np.divide(-np.expm1(-gap), gap, out=phi, where=gap > 0.0)
     kernel = np.maximum(p[:, None], p[None, :]) * phi
-    flat, vh, vc, vt = stacked.reshape(len(stacked), gap.size), v.conj().T, v.conj(), v.T
+    flat = stacked.reshape(len(stacked), gap.size)
 
     def product(x: np.ndarray) -> np.ndarray:
-        # conj(Y) = conj(V) (K o M)^T V^T with Y = V (K o M) V^dag, M = V^dag X V Hermitian
-        y_conj = vc @ (kernel * (vh @ (x @ flat).reshape(gap.shape) @ v)).T @ vt
-        return (flat @ y_conj.ravel()).real - achieved * float(achieved @ x)
+        y = _in_basis((x @ flat).reshape(gap.shape), v, kernel)  # tr(A_k Y) as in _dual_point
+        return flat.view(np.float64) @ y.reshape(-1).view(np.float64) - achieved * (achieved @ x)
 
     return product
 
@@ -551,11 +550,12 @@ def classical_gibbs_oracle(
 ) -> np.ndarray:
     """Classical tilted distribution p_i proportional to w_i exp(-sum_k lam_k v_ki).
 
-    Solves the scalar analogue of the operator problem by a damped Newton
-    iteration on the classical dual (the Hessian is the covariance of the
-    value vectors, available in closed form).  Deliberately shares no code
-    with the operator path so it can serve as an independent cross-check
-    on commuting instances.
+    Solves the scalar analogue of the operator problem by a damped Newton iteration on
+    the classical dual (the Hessian is the covariance of the value vectors, available in
+    closed form, jittered by 1e-14 tr H).  The separating hyperplane lam . t < min_i
+    lam . v_i over the support proves targets jointly unreachable, so no rule depends on
+    the values' scale.  Deliberately shares no code with the operator path so it can
+    serve as an independent cross-check on commuting instances.
     """
     _check_controls(tol, max_iter)
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
@@ -611,15 +611,16 @@ def classical_gibbs_oracle(
             out = np.zeros(w.size)
             out[support] = p
             return out
-        if abs(lam).max() > MULTIPLIER_CAP:
+        levels = lam @ vs
+        if (gap := float(levels.min() - lam @ t)) > 1e-12 * float(abs(levels).max()):
             raise Infeasible(
-                "multiplier norm exceeded 1e4 with a non-vanishing gradient; "
-                "the targets are jointly unreachable"
+                f"lam . t is {gap:.3e} below min_i lam . v_i, a bound on sum_i p_i lam . v_i "
+                "for every distribution; the targets are jointly unreachable"
             )
-        jitter = 1e-14 * max(1.0, float(np.trace(hess)))
-        direction = np.linalg.solve(hess + jitter * np.eye(m), -gradient)
+        jitter = 1e-14 * float(np.trace(hess))  # zero only when H is: then steepest descent
+        direction = np.linalg.solve(hess + jitter * np.eye(m), -gradient) if jitter else -gradient
         slope = float(gradient @ direction)
-        if slope >= 0.0:
+        if not slope < 0.0:
             direction = -gradient
             slope = -float(gradient @ gradient)
         cushion = 1e-14 * max(1.0, abs(value))

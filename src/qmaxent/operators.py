@@ -275,6 +275,11 @@ def _check_controls(tol: float, max_iter: int) -> None:
         raise InputValidationError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 
 
+def _in_basis(x: np.ndarray, v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """V (K o V^dag X V) V^dag: the map of every monotone metric (Petz), each with its kernel K."""
+    return v @ (kernel * (v.conj().T @ x @ v)) @ v.conj().T
+
+
 def _pairing(x: np.ndarray, y: np.ndarray) -> float:
     """Re tr(X Y) for Hermitian Y: sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij.
 

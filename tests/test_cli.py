@@ -180,6 +180,16 @@ class TestFlow:
         assert "step 5e-324" in message["message"]
         assert "lambda_end 1.0" in message["message"]
 
+    def test_step_count_over_the_limit_exit_code(self):
+        # 1e300 steps are refused up front, in a fresh process that would otherwise run for ages
+        argv = ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "1.0"]
+        proc = run_python("-m", "qmaxent.cli", *argv, "--step", "1e-300")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        message = json.loads(proc.stderr)
+        assert message["error"] == "StepInvalid"
+        assert "step 1e-300 needs > 1000000 steps" in message["message"]
+        assert "lambda_end 1.0" in message["message"]
+
     def test_invalid_recorded_state_exit_code(self, capsys, tmp_path):
         psi = np.array([np.cos(0.286), np.sin(0.286)])
         document = json.loads(Path(fixture("flow_z.json")).read_text())

@@ -115,6 +115,11 @@ class TestIntegrateFlow:
         with pytest.raises(StepInvalid, match=r"step 1e-310 .* lambda_end -1e\+300"):
             integrate_flow(UNIFORM, SZ, -1e300, 1e-310)
 
+    def test_step_count_is_bounded(self):
+        # one step more than the documented 10^6 is refused before any is taken
+        with pytest.raises(StepInvalid, match=r"needs > 1000000 steps to lambda_end 1\.0"):
+            integrate_flow(UNIFORM, SZ, 1.0, 1.0 / (10**6 + 1))
+
     @pytest.mark.parametrize("scale", [1e150, 1e300])
     def test_non_finite_iterate_is_positivity_loss(self, scale):
         # a step of 0.5 along scale * sigma_z overflows within its stages

@@ -13,6 +13,7 @@ from qmaxent import (
     DimMismatch,
     Infeasible,
     InputValidationError,
+    MaxIterExceeded,
     Overflow,
     classical_gibbs_oracle,
     dual_objective,
@@ -742,6 +743,23 @@ class TestClassicalOracle:
     def test_boundary_infeasible(self):
         with pytest.raises(Infeasible):
             classical_gibbs_oracle([0.5, 0.5], [[1.0, -1.0]], [1.0])
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-8])
+    def test_scale_free(self, scale):
+        reference = classical_gibbs_oracle([0.25, 0.25, 0.5], [[0.0, 1.0, 2.0]], [0.6])
+        values, target = [[0.0, scale, 2.0 * scale]], [0.6 * scale]
+        p = classical_gibbs_oracle([0.25, 0.25, 0.5], values, target, tol=1e-12 * scale)
+        assert np.abs(p - reference).max() <= 1e-10
+
+    def test_jointly_unreachable_targets(self):
+        # each target lies inside its own range, but no distribution meets both
+        with pytest.raises(Infeasible, match="below min_i lam . v_i"):
+            classical_gibbs_oracle(np.full(3, 1 / 3), [[0, 1, 0], [0, 0, 1]], [0.6, 0.6])
+
+    def test_zero_hessian_is_typed(self):
+        # the values' covariance underflows to an exact zero, which no jitter relative to it cures
+        with pytest.raises(MaxIterExceeded):
+            classical_gibbs_oracle([0.25, 0.25, 0.5], [[0, 1e-200, 2e-200]], [6e-201], tol=1e-212)
 
     def test_targets_hit_random(self, rng):
         for _ in range(30):
