@@ -28,10 +28,11 @@ log Z >= -w_min, this fires wherever the dual value is negative, and sooner.
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 ``ConstraintSet`` runs eigvalsh only on targets outside that inner range or
-within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  It
-reads its one stack of entries three times: to build it, for the norms ||A_k||_F
-and for the Gram matrix of the independence check.  Exponents are shifted, so
-Overflow means that sum_k lam_k A_k, Z or the dual value is not finite.
+within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  Each
+A_k is held as its n^2 real coordinates c(A_k) (``operators._pack``): sum_k x_k A_k
+is x . c(A) unpacked once, and tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal
+coordinates doubled.  Exponents are shifted, so Overflow means that sum_k lam_k A_k,
+Z or the dual value is not finite.
 
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
@@ -66,10 +67,15 @@ from .operators import (
     HermitianOperator,
     _check_controls,
     _common_dim,
+    _coordinates,
+    _dual,
     _eigh,
     _in_basis,
+    _pair_bounds,
+    _split,
     _tilt,
     _tilt_support,
+    _unpack,
 )
 from .entropy import _entropy_of_spectrum
 
@@ -105,7 +111,8 @@ class ConstraintSet:
     rejected rather than regularized.  ``dim`` may be given explicitly,
     which is required when there are no observables at all.  A target on
     the boundary of its spectral range is accepted here and refused by
-    ``solve_maxent``.
+    ``solve_maxent``.  Every check and dual evaluation reads one read-only
+    (m, n^2) float64 array of the observables' real coordinates.
     """
 
     observables: tuple[HermitianOperator, ...]
@@ -124,12 +131,11 @@ class ConstraintSet:
         if self.dim is None and not observables:
             raise DimMismatch("dimension required when no observables are given")
         dim = _common_dim(*observables, dim=self.dim)
-        stacked = np.array([a.entries for a in observables], np.complex128).reshape(-1, dim, dim)
-        # tr(X Y) = sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij for Hermitian Y, as in _pairing
-        parts = stacked.reshape(-1, dim * dim).view(np.float64)
+        coords = _coordinates(observables, dim)
+        off = _split(coords)[1]  # tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
-            squares = np.einsum("ki,ki->k", parts, parts)  # ||A_k||_F^2, inf if it overflows
-            uncertain = self._uncertain(stacked, targets, squares)
+            squares = np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
+            uncertain = self._uncertain(coords, targets, squares)
         boundary = None
         for k in uncertain:
             t, w = targets[k], np.linalg.eigvalsh(observables[k].entries)
@@ -141,73 +147,73 @@ class ConstraintSet:
                     f"target {float(t)!r} on the boundary of the spectral range {span}; "
                     "the multiplier would diverge"
                 )
-        precond = self._check_independent(parts, dim, squares, observables)
-        stacked.setflags(write=False)
+        precond = self._check_independent(coords, dim, squares, observables)
+        coords.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
         # the first boundary target's refusal, raised by solve_maxent
         object.__setattr__(self, "_boundary", boundary)
-        # the (m, n, n) stacked entries and n Gram^-1 of the traceless parts,
+        # the observables' (m, n^2) coordinates and n Gram^-1 of their traceless parts,
         # (m, m), both empty when m = 0, for dual_objective and solve_maxent
-        object.__setattr__(self, "_stacked", stacked)
+        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_precond", precond)
 
     @staticmethod
-    def _uncertain(stacked: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
         """Indices of the targets that the 2x2 principal submatrices leave undecided."""
         margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
-        diag = np.einsum("kii->ki", stacked).real
+        diag = _split(coords)[0]
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
-            d, off = diag[k], np.abs(stacked[k]) ** 2
-            np.fill_diagonal(off, 0.0)  # a 1x1 block's eigenvalue is a_ii itself
-            mid = (d[:, None] + d[None, :]) / 2.0
-            rad = np.sqrt(((d[:, None] - d[None, :]) / 2.0) ** 2 + off)
-            lo[k], hi[k] = (mid - rad).min(), (mid + rad).max()
+            lo[k], hi[k] = _pair_bounds(coords[k])
         return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
-    def _check_independent(parts: np.ndarray, dim: int, squares: np.ndarray, observables):
+    def _check_independent(coords: np.ndarray, dim: int, squares: np.ndarray, observables):
         """n G^-1, G the Gram matrix of the traceless parts, after a scale-free independence check.
 
-        The check reads D^-1/2 G D^-1/2, D = diag G, G formed from ``parts`` (the stack's
-        float64 view) with its diagonals centered in place, then restored.  Rows whose
-        ||A_k||_F^2 (``squares``) is outside (2^-800, 2^800), where G could overflow or
-        underflow, are scaled to unit peak entry (a zero row by the smallest normal number),
-        then copied back from ``observables``.  G is refused when it, or n G^-1, is not finite.
+        The check reads D^-1/2 G D^-1/2, D = diag G.  Rows of ``coords`` whose ||A_k||_F^2
+        (``squares``) is outside (2^-800, 2^800), where G could overflow or underflow, are
+        scaled in place to unit peak entry (a zero row by the smallest normal number), then
+        packed again from ``observables``.  G is refused when it, or n G^-1, is not finite.
         """
         extreme = np.flatnonzero(~((2.0**-800 < squares) & (squares < 2.0**800)))
-        scales = np.ones(len(parts))
-        scales[extreme] = np.abs(parts[extreme]).max(axis=1, initial=np.finfo(float).tiny)
-        parts[extreme] /= scales[extreme, None]
-        diagonal = parts[:, :: 2 * (dim + 1)]
-        saved = diagonal.copy()
-        diagonal -= diagonal.mean(axis=1)[:, None]
-        inner = parts @ parts.T
-        diagonal[...] = saved
-        for k in extreme:
-            parts[k] = observables[k].entries.reshape(-1).view(np.float64)
+        scales = np.ones(len(coords))
+        scales[extreme] = np.abs(coords[extreme]).max(axis=1, initial=np.finfo(float).tiny)
+        coords[extreme] /= scales[extreme, None]
+        diag, off = _split(coords)
+        centered = diag - diag.mean(axis=1, keepdims=True)
+        inner = off @ off.T  # tr(B_k B_l): diagonals centered, off-diagonals counted twice
+        inner *= 2.0
+        inner += centered @ centered.T
+        del centered  # one (m, n) array fewer at the peak of the checks below
+        coords[extreme] = _coordinates([observables[k] for k in extreme], dim)
         norms = np.sqrt(inner.diagonal())
         if not norms.all():
             raise DependentConstraints(
                 f"observable {int(np.argmin(norms))} is a multiple of the identity; "
                 "its constraint only fixes the trace"
             )
-        s = np.linalg.eigvalsh(inner / norms[:, None] / norms[None, :])
+        correlation = inner / norms
+        correlation /= norms[:, None]
+        s = np.linalg.eigvalsh(correlation)
         if s.size and (s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT):
             raise DependentConstraints(
                 "constraint observables are linearly dependent (condition number of the "
                 "traceless parts' correlation matrix above 1e12); multipliers would not be unique"
             )
+        gram = inner  # of the scaled rows, scaled back in place
         with np.errstate(over="ignore"):
-            gram = inner * scales[:, None] * scales[None, :]
+            gram *= scales
+            gram *= scales[:, None]
         if not np.isfinite(gram).all():
             raise InputValidationError("observables too large: their Gram matrix overflows")
         try:
             with np.errstate(over="ignore"):
-                precond = dim * np.linalg.inv(gram)
+                precond = np.linalg.inv(gram)
+                precond *= dim
             finite = np.isfinite(precond).all()
         except np.linalg.LinAlgError:  # underflowed to an exactly singular matrix
             finite = False
@@ -254,25 +260,19 @@ def _validated_aggregate(multipliers, observables) -> np.ndarray:
     lam = _validated_multipliers(multipliers, len(observables))
     if lam.size == 0:
         raise DimMismatch("at least one observable is required")
-    _common_dim(*observables)
+    n = _common_dim(*observables)
     with np.errstate(over="ignore", invalid="ignore"):
-        aggregate = _aggregate(lam, np.stack([a.entries for a in observables]))
+        aggregate = _unpack(lam @ _coordinates(observables, n))
     if not np.isfinite(aggregate).all():
         raise Overflow("sum_k lam_k A_k is not finite in double precision")
     return aggregate
 
 
-def _aggregate(lam: np.ndarray, stacked: np.ndarray) -> np.ndarray:
-    """sum_k lam_k A_k, one matrix-vector product with the flattened stack."""
-    n = stacked.shape[-1]
-    return (lam @ stacked.reshape(-1, n * n)).reshape(n, n)
-
-
 def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(-W)/tr(exp(-W)) and its eigenvalues, from the eigensystem of W; stable under shifts.
 
-    The state is Hermitian up to rounding, which leaves Re tr(rho A) unchanged;
-    DensityOperator symmetrizes it.
+    The state is Hermitian up to rounding; the pairings read its diagonal and upper
+    triangle, and DensityOperator symmetrizes it.
     """
     u = -w
     q = np.exp(u - u.max())
@@ -298,18 +298,16 @@ def gibbs_state(multipliers, observables) -> DensityOperator:
         return DensityOperator(_softmax_state(w, v)[0])
 
 
-def _dual_point(lam: np.ndarray, stacked: np.ndarray, targets: np.ndarray):
+def _dual_point(lam: np.ndarray, coords: np.ndarray, targets: np.ndarray):
     """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n."""
-    w, v = _eigh(_aggregate(lam, stacked))
+    w, v = _eigh(_unpack(lam @ coords))
     log_z = float(np.logaddexp.reduce(-w))
     state, p = _softmax_state(w, v)
-    # tr(rho A_k) = sum_ij Re (A_k)_ij Re rho_ij + Im (A_k)_ij Im rho_ij, as in _pairing
-    parts = stacked.reshape(len(stacked), state.size).view(np.float64)
-    achieved = parts @ state.reshape(-1).view(np.float64)
+    achieved = coords @ _dual(state)  # tr(A_k rho), as in _pairing
     return log_z + float(lam @ targets), targets - achieved, state, log_z, (w, v, p)
 
 
-def _kubo_mori_product(stacked, achieved, w, v, p):
+def _kubo_mori_product(coords, achieved, w, v, p):
     """x -> H x, H the dual's Hessian (the Kubo-Mori metric of V diag(p) V^dag); no eigh.
 
     (H x)_j = tr(A_j Y) - <A_j> sum_k <A_k> x_k, Y = V (K o V^dag X V) V^dag, X = sum_k x_k A_k,
@@ -321,11 +319,10 @@ def _kubo_mori_product(stacked, achieved, w, v, p):
     phi = np.ones_like(gap)
     np.divide(-np.expm1(-gap), gap, out=phi, where=gap > 0.0)
     kernel = np.maximum(p[:, None], p[None, :]) * phi
-    flat = stacked.reshape(len(stacked), gap.size)
 
     def product(x: np.ndarray) -> np.ndarray:
-        y = _in_basis((x @ flat).reshape(gap.shape), v, kernel)  # tr(A_k Y) as in _dual_point
-        return flat.view(np.float64) @ y.reshape(-1).view(np.float64) - achieved * (achieved @ x)
+        y = _in_basis(_unpack(x @ coords), v, kernel)
+        return coords @ _dual(y) - achieved * (achieved @ x)
 
     return product
 
@@ -338,7 +335,7 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     """
     lam = _validated_multipliers(multipliers, constraints.m)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, gradient = _dual_point(lam, constraints._stacked, constraints.targets)[:2]
+        value, gradient = _dual_point(lam, constraints._coords, constraints.targets)[:2]
     if not np.isfinite(value):
         raise Overflow(f"dual value {value!r} is not finite in double precision")
     return value, gradient
@@ -393,11 +390,11 @@ def solve_maxent(
     _check_controls(tol, max_iter)
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    stacked, targets, n = constraints._stacked, constraints.targets, constraints.dim
+    coords, targets, n = constraints._coords, constraints.targets, constraints.dim
     # lam = 0 in closed form: state I/n, log Z = log n, <A_k> = tr A_k / n, Hessian precond^-1
     lam, precond, iterations = np.zeros(constraints.m), constraints._precond, 0
     value = log_z = float(np.log(n))
-    gradient = targets - np.einsum("kii->k", stacked).real / n
+    gradient = targets - _split(coords)[0].sum(axis=1) / n
     state, eig = np.eye(n) / n, (np.zeros(n), None, np.full(n, 1.0 / n))
     residual = float(abs(gradient).max(initial=0.0))
     while not residual <= tol:
@@ -412,7 +409,7 @@ def solve_maxent(
                 "on tr(rho sum_k lam_k A_k) for every state; the targets are jointly unreachable"
             )
         if iterations:
-            hessian = _kubo_mori_product(stacked, targets - gradient, *eig)
+            hessian = _kubo_mori_product(coords, targets - gradient, *eig)
             direction = _newton_direction(hessian, gradient, precond, tol)
         else:
             direction = -(precond @ gradient)
@@ -422,7 +419,7 @@ def solve_maxent(
         t = 1.0
         while True:
             trial = lam + t * direction
-            point = _dual_point(trial, stacked, targets)  # value, gradient, state, log Z, eig
+            point = _dual_point(trial, coords, targets)  # value, gradient, state, log Z, eig
             # near the optimum the value's rounding can exceed the cushion; tol then suffices
             if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion or abs(point[1]).max() <= tol:
                 break
@@ -552,10 +549,11 @@ def classical_gibbs_oracle(
 
     Solves the scalar analogue of the operator problem by a damped Newton iteration on
     the classical dual (the Hessian is the covariance of the value vectors, available in
-    closed form, jittered by 1e-14 tr H).  The separating hyperplane lam . t < min_i
-    lam . v_i over the support proves targets jointly unreachable, so no rule depends on
-    the values' scale.  Deliberately shares no code with the operator path so it can
-    serve as an independent cross-check on commuting instances.
+    closed form, jittered by 1e-14 tr H) in values (v - t)/(max v - min v) over the support,
+    so no rule depends on their scale; ``tol`` is in the caller's units.  The separating
+    hyperplane lam . t < min_i lam . v_i over the support proves targets jointly
+    unreachable.  Deliberately shares no code with the operator path so it can serve as
+    an independent cross-check on commuting instances.
     """
     _check_controls(tol, max_iter)
     w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
@@ -583,36 +581,36 @@ def classical_gibbs_oracle(
     support = w > 0.0
     ws = w[support]
     vs = vals[:, support]
+    lo, hi = vs.min(axis=1), vs.max(axis=1)
     for k in range(m):
-        lo, hi = float(vs[k].min()), float(vs[k].max())
-        if not (lo < t[k] < hi):
+        if not (lo[k] < t[k] < hi[k]):
             raise Infeasible(
                 f"target {float(t[k])!r} outside the open achievable interval "
-                f"({lo!r}, {hi!r})"
+                f"({float(lo[k])!r}, {float(hi[k])!r})"
             )
-
+    spread = hi / 2 - lo / 2  # halved first so that no difference overflows
+    us = (vs / 2 - t[:, None] / 2) / spread[:, None]  # t_k - <v_k> = -2 spread_k <u_k>
     log_ws = np.log(ws)
 
-    def point(lam):
-        u = log_ws - lam @ vs
+    def point(mu):
+        u = log_ws - mu @ us
         q = np.exp(u - u.max())
         z = q.sum()
         p = q / z
-        value = float(u.max() + np.log(z) + lam @ t)
-        mean = vs @ p
-        centered = vs - mean[:, None]
+        mean = us @ p
+        centered = us - mean[:, None]
         hess = (centered * p) @ centered.T
-        return value, t - mean, hess, p
+        return float(u.max() + np.log(z)), -mean, hess, p
 
-    lam = np.zeros(m)
-    value, gradient, hess, p = point(lam)
+    mu = np.zeros(m)  # mu_k = lam_k (hi_k - lo_k), lam the caller's multipliers
+    value, gradient, hess, p = point(mu)
     for _ in range(max_iter):
-        if abs(gradient).max() <= tol:
+        if (spread * abs(gradient)).max() <= tol / 2:
             out = np.zeros(w.size)
             out[support] = p
             return out
-        levels = lam @ vs
-        if (gap := float(levels.min() - lam @ t)) > 1e-12 * float(abs(levels).max()):
+        levels = mu @ us  # lam . v_i - lam . t
+        if (gap := float(levels.min())) > 1e-12 * float(abs(levels).max()):
             raise Infeasible(
                 f"lam . t is {gap:.3e} below min_i lam . v_i, a bound on sum_i p_i lam . v_i "
                 "for every distribution; the targets are jointly unreachable"
@@ -626,12 +624,12 @@ def classical_gibbs_oracle(
         cushion = 1e-14 * max(1.0, abs(value))
         step = 1.0
         while True:
-            trial = lam + step * direction
+            trial = mu + step * direction
             trial_value, trial_gradient, trial_hess, trial_p = point(trial)
             if trial_value <= value + ARMIJO_SLOPE * step * slope + cushion:
                 break
             step *= ARMIJO_SHRINK
             if step < 1e-20:
                 raise MaxIterExceeded("line search stalled")
-        lam, value, gradient, hess, p = trial, trial_value, trial_gradient, trial_hess, trial_p
+        mu, value, gradient, hess, p = trial, trial_value, trial_gradient, trial_hess, trial_p
     raise MaxIterExceeded(f"no convergence after {max_iter} Newton iterations")

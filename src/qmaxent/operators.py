@@ -3,8 +3,8 @@
 Everything in this package works on small dense complex matrices held in
 one fixed computational basis.  This module provides the two validated
 value types (Hermitian operators and density operators), eigendecomposition
-with a deterministic phase convention, spectral functions
-(exp, log), expectation values, and a couple of norms.
+with a deterministic phase convention, spectral functions (exp, log),
+expectation values, a couple of norms, and private real coordinates.
 
 Exponents are shifted, never refused in advance: Overflow means that a
 returned value would not be finite.
@@ -16,6 +16,8 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -284,9 +286,69 @@ def _pairing(x: np.ndarray, y: np.ndarray) -> float:
     """Re tr(X Y) for Hermitian Y: sum_ij Re X_ij Re Y_ij + Im X_ij Im Y_ij.
 
     That is the dot product of the arrays' float64 views, and all of tr(X Y) when X is
-    Hermitian too: the package's one trace pairing, real by construction at any scale.
+    Hermitian too: the trace pairing of two matrices, real by construction at any scale.
     """
     return float(x.reshape(-1).view(np.float64) @ y.reshape(-1).view(np.float64))
+
+
+# The n^2 real coordinates of an n x n Hermitian matrix are its diagonal, then the real and
+# the imaginary parts of its strict upper triangle, row by row; only this block knows that.
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[np.ndarray, ...]:
+    """Coordinates' float64-view positions, pairs i < j, and each float64's coordinate and sign."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = 2 * (rows * n + cols)
+    index = np.concatenate((2 * (n + 1) * np.arange(n), upper, upper + 1))
+    source, sign = np.zeros((n, n, 2), np.intp), np.zeros((n, n, 2))
+    source.reshape(-1)[index], sign.reshape(-1)[index] = np.arange(n * n), 1.0
+    source[cols, rows], sign[cols, rows] = source[rows, cols], (1.0, -1.0)
+    arrays = index, rows, cols, source.reshape(n, 2 * n), sign.reshape(n, 2 * n)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _pack(x: np.ndarray) -> np.ndarray:
+    """The coordinates of Hermitian ``x``, one gather from its float64 view."""
+    return x.reshape(-1).view(np.float64)[_layout(len(x))[0]]
+
+
+def _unpack(c: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix of coordinates ``c``, one signed gather; Im a_ii is +0.0."""
+    source, sign = _layout(isqrt(c.size))[3:]
+    out = c[source] * sign
+    out += 0.0  # -0.0 becomes +0.0, as in entries made by hermitian_part
+    return out.view(np.complex128)
+
+
+def _coordinates(operators, n: int) -> np.ndarray:
+    """The (m, n^2) coordinates of m Hermitian n x n operators, packed row by row in place."""
+    out = np.empty((len(operators), n * n))
+    for k, a in enumerate(operators):
+        out[k] = _pack(a.entries)
+    return out
+
+
+def _dual(y: np.ndarray) -> np.ndarray:
+    """c(Y) with its off-diagonal coordinates doubled (exact): c(X) @ _dual(Y) = tr(X Y)."""
+    c = _pack(y)
+    c[len(y) :] *= 2.0
+    return c
+
+
+def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the diagonal and the off-diagonal coordinates in the rows of ``c``."""
+    n = isqrt(c.shape[-1])
+    return c[..., :n], c[..., n:]
+
+
+def _pair_bounds(c: np.ndarray) -> tuple[float, float]:
+    """Least and greatest eigenvalue of the 1x1 and 2x2 principal submatrices of coordinates c:
+    a_ii, and (a_ii + a_jj)/2 -+ sqrt(((a_ii - a_jj)/2)^2 + |a_ij|^2) for i < j."""
+    (d, off), (rows, cols) = _split(c), _layout(isqrt(c.size))[1:3]
+    mid = (d[rows] + d[cols]) / 2.0
+    rad = np.hypot(np.hypot((d[rows] - d[cols]) / 2.0, off[: len(rows)]), off[len(rows) :])
+    return float((mid - rad).min(initial=d.min())), float((mid + rad).max(initial=d.max()))
 
 
 def expectation(state: DensityOperator, observable: HermitianOperator) -> float:

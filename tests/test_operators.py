@@ -23,6 +23,8 @@ from qmaxent import (
     trace_distance,
 )
 
+from qmaxent.operators import _coordinates, _dual, _pack, _pairing, _split, _unpack
+
 from helpers import SIGMA_X, SIGMA_Z, rand_density, rand_hermitian, rand_spectrum_hermitian
 
 
@@ -230,6 +232,39 @@ class TestExpectation:
             lhs = expectation(rho, combo)
             rhs = alpha * expectation(rho, a) + beta * expectation(rho, b)
             assert abs(lhs - rhs) <= 1e-12
+
+
+class TestCoordinates:
+    """The n^2 real coordinates that hold the MaxEnt constraints."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_dot_product_is_the_pairing(self, rng, scale):
+        for n in range(1, 9):
+            for _ in range(10):
+                x, y = (rand_hermitian(rng, n, scale).entries for _ in range(2))
+                bound = 1e-15 * np.linalg.norm(x) * np.linalg.norm(y)
+                assert abs(_pack(x) @ _dual(y) - _pairing(x, y)) <= bound
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_unpack_inverts_pack(self, rng, scale):
+        for n in range(1, 9):
+            x = rand_hermitian(rng, n, scale).entries.copy()
+            x[0, 0] = 5e-324  # subnormal parts
+            if n > 1:
+                x[0, 1] = complex(5e-324, -1e-310)
+                x[1, 0] = x[0, 1].conjugate()
+            coordinates = _pack(x)
+            assert coordinates.shape == (n * n,)
+            assert _unpack(coordinates).tobytes() == x.tobytes()
+
+    def test_rows_give_norms_and_traces(self, rng):
+        observables = tuple(rand_hermitian(rng, 5) for _ in range(3))
+        coordinates = _coordinates(observables, 5)
+        diagonal, off = _split(coordinates)
+        for k, a in enumerate(observables):
+            squares = coordinates[k] @ coordinates[k] + off[k] @ off[k]
+            assert squares == pytest.approx(np.linalg.norm(a.entries) ** 2, rel=1e-14)
+            assert diagonal[k].sum() == pytest.approx(np.trace(a.entries).real, rel=1e-14)
 
 
 class TestCommutatorNorm:
