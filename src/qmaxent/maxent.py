@@ -10,7 +10,10 @@ and the multipliers are the unique minimizer of the smooth convex dual
     value(lam) = log Z(lam) + sum_j lam_j t_j,
 
 whose gradient is t_j - <A_j>_{rho(lam)} and whose Hessian is the Kubo-Mori
-metric at rho(lam).  ``solve_maxent`` runs Newton's method with Armijo
+metric at rho(lam).  One evaluation of this family, ``_dual_point``, is the only
+code that diagonalizes sum_k lam_k A_k and turns its spectrum into log Z, rho(lam)
+and <A_j>; ``partition_function``, ``gibbs_state``, ``dual_objective`` and
+``solve_maxent`` all read it.  ``solve_maxent`` runs Newton's method with Armijo
 backtracking from lam = 0, where all of these are known in closed form: the
 state I/n, log Z = log n, <A_j> = tr(A_j)/n, and the Hessian Gram/n (Gram of
 the traceless parts), so the first step, -n Gram^-1 g, needs no
@@ -246,45 +249,37 @@ class MaxEntSolution:
     residual: float
 
 
-def _validated_multipliers(multipliers, m: int) -> np.ndarray:
+def _evaluated(multipliers, coords: np.ndarray, targets: np.ndarray | None = None):
+    """``_dual_point`` at validated ``multipliers``; a value that is not finite raises Overflow.
+
+    Without ``targets`` (partition_function, gibbs_state) lam . t = 0 and the value is log Z,
+    which is infinite or NaN only when sum_k lam_k A_k or its spectrum overflows.
+    """
     lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
-    if lam.ndim != 1 or lam.size != m:
-        raise DimMismatch(f"{lam.size} multipliers but {m} observables")
+    if lam.ndim != 1 or lam.size != len(coords):
+        raise DimMismatch(f"{lam.size} multipliers but {len(coords)} observables")
     if not np.isfinite(lam).all():
         raise InputValidationError("multipliers must be finite")
-    return lam
-
-
-def _validated_aggregate(multipliers, observables) -> np.ndarray:
-    """sum_k lam_k A_k of validated inputs; finite multipliers can still overflow it."""
-    lam = _validated_multipliers(multipliers, len(observables))
-    if lam.size == 0:
-        raise DimMismatch("at least one observable is required")
-    n = _common_dim(*observables)
     with np.errstate(over="ignore", invalid="ignore"):
-        aggregate = _unpack(lam @ _coordinates(observables, n))
-    if not np.isfinite(aggregate).all():
+        point = _dual_point(lam, coords, np.zeros(lam.size) if targets is None else targets)
+    if np.isfinite(point[0]):
+        return point
+    if targets is None:
         raise Overflow("sum_k lam_k A_k is not finite in double precision")
-    return aggregate
+    raise Overflow(f"dual value {point[0]!r} is not finite in double precision")
 
 
-def _softmax_state(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-W)/tr(exp(-W)) and its eigenvalues, from the eigensystem of W; stable under shifts.
-
-    The state is Hermitian up to rounding; the pairings read its diagonal and upper
-    triangle, and DensityOperator symmetrizes it.
-    """
-    u = -w
-    q = np.exp(u - u.max())
-    q /= q.sum()
-    return (v * q) @ v.conj().T, q
+def _canonical(multipliers, observables):
+    """``_evaluated`` at lam . t = 0 of raw observables: partition_function's and gibbs_state's."""
+    if len(observables) == 0:
+        raise DimMismatch("at least one observable is required")
+    return _evaluated(multipliers, _coordinates(observables, _common_dim(*observables)))
 
 
 def partition_function(multipliers, observables) -> float:
-    """Z = tr exp(-sum_k lam_k A_k) = exp(log Z); a Z that is not finite raises Overflow."""
-    w = np.linalg.eigvalsh(_validated_aggregate(multipliers, observables))
+    """Z = tr exp(-sum_k lam_k A_k); Overflow if Z is not finite, ConvergenceFailure on eigh."""
+    log_z = _canonical(multipliers, observables)[3]
     with np.errstate(over="ignore"):
-        log_z = float(np.logaddexp.reduce(-w))
         z = float(np.exp(log_z))
     if not np.isfinite(z):
         raise Overflow(f"Z = exp({log_z:.6g}) is not finite in double precision")
@@ -292,17 +287,21 @@ def partition_function(multipliers, observables) -> float:
 
 
 def gibbs_state(multipliers, observables) -> DensityOperator:
-    """exp(-sum_k lam_k A_k) / Z, its exponent shifted; only an aggregate that overflows raises."""
-    w, v = _eigh(_validated_aggregate(multipliers, observables))
-    with np.errstate(over="ignore"):  # a spread beyond double range leaves weights of 0
-        return DensityOperator(_softmax_state(w, v)[0])
+    """exp(-sum_k lam_k A_k) / Z, its exponent shifted; only an overflowing spectrum raises."""
+    return DensityOperator(_canonical(multipliers, observables)[2])
 
 
 def _dual_point(lam: np.ndarray, coords: np.ndarray, targets: np.ndarray):
-    """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n."""
+    """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n.
+
+    The state V diag(p) V^dag is Hermitian up to rounding: the pairings read its diagonal and
+    upper triangle, and DensityOperator symmetrizes it.
+    """
     w, v = _eigh(_unpack(lam @ coords))
     log_z = float(np.logaddexp.reduce(-w))
-    state, p = _softmax_state(w, v)
+    p = np.exp(w[0] - w)  # exp(-w) over its largest term: eigh's eigenvalues ascend
+    p /= p.sum()
+    state = (v * p) @ v.conj().T
     achieved = coords @ _dual(state)  # tr(A_k rho), as in _pairing
     return log_z + float(lam @ targets), targets - achieved, state, log_z, (w, v, p)
 
@@ -333,12 +332,7 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     The gradient vanishes exactly at the maximum-entropy multipliers.  log Z
     is evaluated after a shift; only a value that is not finite raises Overflow.
     """
-    lam = _validated_multipliers(multipliers, constraints.m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, gradient = _dual_point(lam, constraints._coords, constraints.targets)[:2]
-    if not np.isfinite(value):
-        raise Overflow(f"dual value {value!r} is not finite in double precision")
-    return value, gradient
+    return _evaluated(multipliers, constraints._coords, constraints.targets)[:2]
 
 
 def _newton_direction(
@@ -549,10 +543,13 @@ def classical_gibbs_oracle(
 
     Solves the scalar analogue of the operator problem by a damped Newton iteration on
     the classical dual (the Hessian is the covariance of the value vectors, available in
-    closed form, jittered by 1e-14 tr H) in values (v - t)/(max v - min v) over the support,
-    so no rule depends on their scale; ``tol`` is in the caller's units.  The separating
-    hyperplane lam . t < min_i lam . v_i over the support proves targets jointly
-    unreachable.  Deliberately shares no code with the operator path so it can serve as
+    closed form) in values (v - t)/(max v - min v) over the support, so no rule depends on
+    their scale; ``tol`` is in the caller's units.  Each step solves (H + nu I) d = -g with
+    nu = 1e-14 tr H + ||g|| / (1 + max|mu|) (Levenberg-Marquardt), so ||d|| <= 1 + max|mu| for
+    the scaled multipliers mu: the large mu that tiny weights need are reached geometrically,
+    and where H underflows to 0 the step is steepest descent's, of that length.
+    The separating hyperplane lam . t < min_i lam . v_i over the support proves targets
+    jointly unreachable.  Deliberately shares no code with the operator path so it can serve as
     an independent cross-check on commuting instances.
     """
     _check_controls(tol, max_iter)
@@ -615,12 +612,9 @@ def classical_gibbs_oracle(
                 f"lam . t is {gap:.3e} below min_i lam . v_i, a bound on sum_i p_i lam . v_i "
                 "for every distribution; the targets are jointly unreachable"
             )
-        jitter = 1e-14 * float(np.trace(hess))  # zero only when H is: then steepest descent
-        direction = np.linalg.solve(hess + jitter * np.eye(m), -gradient) if jitter else -gradient
+        nu = 1e-14 * float(np.trace(hess)) + float(np.linalg.norm(gradient) / (1.0 + abs(mu).max()))
+        direction = np.linalg.solve(hess + nu * np.eye(m), -gradient)
         slope = float(gradient @ direction)
-        if not slope < 0.0:
-            direction = -gradient
-            slope = -float(gradient @ gradient)
         cushion = 1e-14 * max(1.0, abs(value))
         step = 1.0
         while True:

@@ -301,6 +301,9 @@ class TestGibbsState:
         # a finite aggregate whose spectral spread overflows keeps its extreme weights
         rho = gibbs_state([1e308, 1e308], [SZ, SX])
         assert abs(np.linalg.eigvalsh(rho.entries) - [0.0, 1.0]).max() <= 1e-15
+        # a finite aggregate whose smallest eigenvalue, -2e308, overflows
+        with pytest.raises(Overflow, match="sum_k lam_k A_k"):
+            gibbs_state([1e308], [make_hermitian(-np.ones((2, 2)))])
 
     def test_offset_spectrum(self):
         # the weights exp(-1000) and exp(-1001), shifted by 1000, are 1 and 1/e
@@ -478,6 +481,7 @@ class TestSolveMaxEnt:
         assert sol.s_max == pytest.approx(np.log(n), abs=1e-14)
 
     def test_one_decomposition_per_evaluation(self, rng, eig_calls, monkeypatch):
+        constraints = gibbs_instance(rng, 16, 20, 0.5)  # before the count: gibbs_state evaluates too
         counts = {"evaluations": 0, "backtracks": 0}
         dual_point = qmaxent.maxent._dual_point
 
@@ -494,7 +498,6 @@ class TestSolveMaxEnt:
         shrink = CountedShrink(qmaxent.maxent.ARMIJO_SHRINK)
         monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
         monkeypatch.setattr(qmaxent.maxent, "ARMIJO_SHRINK", shrink)
-        constraints = gibbs_instance(rng, 16, 20, 0.5)
         eig_calls.clear()
         sol = solve_maxent(constraints)
         # none at lam = 0: every evaluation is an accepted step or a backtrack
@@ -502,6 +505,7 @@ class TestSolveMaxEnt:
         assert counts["evaluations"] == sol.iterations + counts["backtracks"]
 
     def test_conjugate_gradients_stop_at_the_tolerance(self, rng, monkeypatch):
+        instances = [gibbs_instance(rng, 16, 20, 0.5) for _ in range(4)]  # gibbs_state evaluates too
         dual_point, kubo_mori = qmaxent.maxent._dual_point, qmaxent.maxent._kubo_mori_product
         counts = {"evaluations": 0, "products": 0}
 
@@ -520,8 +524,8 @@ class TestSolveMaxEnt:
 
         monkeypatch.setattr(qmaxent.maxent, "_kubo_mori_product", counted_product)
         monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
-        for _ in range(4):
-            solve_maxent(gibbs_instance(rng, 16, 20, 0.5))
+        for constraints in instances:
+            solve_maxent(constraints)
         # CG run to its relative stop alone takes 74 products over the same 19 evaluations;
         # none is spent at lam = 0, whose value, gradient and Newton step are known
         assert counts["evaluations"] == 19
@@ -757,12 +761,14 @@ class TestClassicalOracle:
         with pytest.raises(Infeasible, match="below min_i lam . v_i"):
             classical_gibbs_oracle(np.full(3, 1 / 3), [[0, 1, 0], [0, 0, 1]], [0.6, 0.6])
 
-    def test_zero_hessian_is_typed(self):
-        # the first Newton step overshoots to where p is one-hot in double precision: the
-        # covariance is an exact zero, which no jitter relative to it cures, and steepest
-        # descent then crawls toward p = (1e-8, 1 - 1e-8)
-        with pytest.raises(MaxIterExceeded):
-            classical_gibbs_oracle([1.0, 1e-20], [[0.0, 1.0]], [0.99999999])
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_weight_reaches_two_point_answer(self):
+        # a full Newton step from a near-zero covariance overshoots to where p is one-hot
+        # (an exactly zero Hessian) or overflows; bounded steps reach the two-point answer
+        v1, v2 = 0.0, 1.0
+        for weights, t in ([1.0, 1e-20], 0.99999999), ([1.0, 1e-300], 0.5), ([1.0, 5e-324], 0.5):
+            p = classical_gibbs_oracle(weights, [[v1, v2]], [t])
+            assert np.abs(p - [(v2 - t) / (v2 - v1), (t - v1) / (v2 - v1)]).max() <= 1e-12
 
     def test_targets_hit_random(self, rng):
         for _ in range(30):

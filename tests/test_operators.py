@@ -338,8 +338,9 @@ def test_operands_share_one_dimension(routine):
         lambda: eig_hermitian(_A3),
         lambda: qm.relative_entropy(_RHO2, _RHO2),
         lambda: qm.gibbs_state([0.1], (_A2,)),
+        lambda: qm.partition_function([0.1], (_A2,)),
     ],
-    ids=["eig_hermitian", "relative_entropy", "gibbs_state"],
+    ids=["eig_hermitian", "relative_entropy", "gibbs_state", "partition_function"],
 )
 def test_eigensolver_failure_is_typed(monkeypatch, routine):
     def fail(matrix):
