@@ -123,10 +123,6 @@ def _problem(args, mode: str):
     return problem
 
 
-def _trace_error(state) -> float:
-    return abs(float(np.trace(state.entries).real) - 1.0)
-
-
 def _dispatch(args):
     csv_rows = None
     if args.command == "estimate":
@@ -165,16 +161,19 @@ def _dispatch(args):
     elif args.command == "flow":
         problem = _problem(args, "flow")
         trajectory = integrate_flow(problem.prior, *problem.observables, args.lambda_end, args.step)
-        final = trajectory.samples[-1]
+        samples = trajectory.samples
+        traces = np.trace(np.stack([s.state.entries for s in samples]), axis1=1, axis2=2)
+        errors = np.abs(traces.real - 1.0).tolist()
+        final = samples[-1]
         result = {
             "final_lambda": final.lam,
             "final_mean": final.mean,
             "final_state": operator_to_document(final.state),
-            "final_trace_error": _trace_error(final.state),
-            "n_samples": len(trajectory.samples),
+            "final_trace_error": errors[-1],
+            "n_samples": len(samples),
             "step": trajectory.step,
         }
-        csv_rows = [(s.lam, s.mean, _trace_error(s.state)) for s in trajectory.samples]
+        csv_rows = [(s.lam, s.mean, error) for s, error in zip(samples, errors)]
     elif args.command == "metric":
         problem = _problem(args, "metric")
         result = {"value": metric_forms(problem.prior, *problem.observables)}

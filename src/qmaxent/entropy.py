@@ -12,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SupportViolation
-from .operators import LOG_EIGENVALUE_FLOOR, DensityOperator, _common_dim, _eigh, _weights
+from .operators import (
+    LOG_EIGENVALUE_FLOOR,
+    DensityOperator,
+    _common_dim,
+    _eigh,
+    _eigvalsh,
+    _weights,
+)
 
 __all__ = ["von_neumann_entropy", "relative_entropy"]
 
@@ -30,7 +37,7 @@ def _entropy_of_spectrum(p: np.ndarray) -> float:
 
 def von_neumann_entropy(state: DensityOperator) -> float:
     """-tr(rho log rho) in nats; 0 for pure states, log(dim) for the uniform state."""
-    return _entropy_of_spectrum(np.linalg.eigvalsh(state.entries))
+    return _entropy_of_spectrum(_eigvalsh(state.entries))
 
 
 def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
@@ -50,4 +57,4 @@ def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
         )
     support = ~kernel
     cross = float((np.log(q[support]) * overlaps[support]).sum())
-    return _entropy_of_spectrum(np.linalg.eigvalsh(state.entries)) + cross
+    return _entropy_of_spectrum(_eigvalsh(state.entries)) + cross

@@ -73,6 +73,7 @@ from .operators import (
     _coordinates,
     _dual,
     _eigh,
+    _eigvalsh,
     _in_basis,
     _pair_bounds,
     _split,
@@ -141,7 +142,7 @@ class ConstraintSet:
             uncertain = self._uncertain(coords, targets, squares)
         boundary = None
         for k in uncertain:
-            t, w = targets[k], np.linalg.eigvalsh(observables[k].entries)
+            t, w = targets[k], _eigvalsh(observables[k].entries)
             span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
             if not (w[0] <= t <= w[-1]):
                 raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
@@ -201,7 +202,7 @@ class ConstraintSet:
             )
         correlation = inner / norms
         correlation /= norms[:, None]
-        s = np.linalg.eigvalsh(correlation)
+        s = _eigvalsh(correlation)
         if s.size and (s[0] <= 0.0 or s[-1] / s[0] > GRAM_CONDITION_LIMIT):
             raise DependentConstraints(
                 "constraint observables are linearly dependent (condition number of the "

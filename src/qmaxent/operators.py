@@ -65,9 +65,12 @@ SUPPORT_FLOOR = 1e-14
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, halving each term first so no sum overflows; an entry equal to M†'s stays."""
-    out = matrix / 2.0 + matrix.conj().T / 2.0
-    np.copyto(out, matrix, where=(out != matrix) & (matrix == matrix.conj().T))
+    """(M + M†)/2, halving each term first so no sum overflows; an entry equal to M†'s stays.
+
+    A stack of matrices, (..., n, n), gives each matrix's result bit for bit.
+    """
+    out = matrix / 2.0 + matrix.conj().swapaxes(-1, -2) / 2.0
+    np.copyto(out, matrix, where=(out != matrix) & (matrix == matrix.conj().swapaxes(-1, -2)))
     return out
 
 
@@ -94,6 +97,15 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """numpy.linalg.eigh of a Hermitian matrix; a LinAlgError becomes ConvergenceFailure."""
     try:
         return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+
+
+def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """numpy.linalg.eigvalsh, ascending, of a Hermitian matrix or a stack of them; a
+    LinAlgError becomes ConvergenceFailure."""
+    try:
+        return np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
 
@@ -135,7 +147,7 @@ class DensityOperator(HermitianOperator):
     def __post_init__(self) -> None:
         super().__post_init__()
         m = self.entries
-        _density_rule(float(np.trace(m).real), lambda: float(np.linalg.eigvalsh(m)[0]))
+        _density_rule(float(np.trace(m).real), lambda: float(_eigvalsh(m)[0]))
 
 
 def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
@@ -366,5 +378,5 @@ def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of the difference."""
     _common_dim(a, b)
-    w = np.linalg.eigvalsh(a.entries - b.entries)
+    w = _eigvalsh(a.entries - b.entries)
     return 0.5 * float(np.abs(w).sum())

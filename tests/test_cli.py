@@ -110,6 +110,16 @@ class TestEntropy:
         expected = (-0.8 * np.log(0.8) - 0.2 * np.log(0.2)) - np.log(2.0)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    def test_eigensolver_failure_exit_code(self, capsys, monkeypatch):
+        # a spectrum that does not converge is a numerical failure, not an internal error
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        code, out, err = run_captured(capsys, ["entropy", "--state", fixture("state_mixed.json")])
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "ConvergenceFailure"
+
     def test_support_violation_exit_code(self, capsys):
         code, _, err = run_captured(
             capsys,

@@ -7,6 +7,7 @@ import pytest
 
 from qmaxent import (
     Infeasible,
+    InputValidationError,
     MaxIterExceeded,
     PositivityLoss,
     StepInvalid,
@@ -14,6 +15,7 @@ from qmaxent import (
     expectation,
     flow_field,
     flow_to_constraint,
+    hermitian_part,
     integrate_flow,
     make_density,
     make_hermitian,
@@ -22,6 +24,8 @@ from qmaxent import (
     trace_distance,
     zero_mean_form,
 )
+from qmaxent.flow import FLOW_BLOCK
+from qmaxent.operators import _measured_density
 
 from helpers import (
     SIGMA_X,
@@ -142,12 +146,21 @@ class TestIntegrateFlow:
         with pytest.raises(PositivityLoss, match="NotPositive"):
             integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
 
-    def test_one_eigvalsh_per_step(self, eig_calls):
+    def test_one_spectrum_per_step(self, eig_calls, monkeypatch):
         # one eigh of A sets up the eigenbasis; each step's one spectrum serves both the
-        # step's positivity check and a recorded state's validation
+        # step's positivity check and a recorded state's validation, and one batched
+        # eigvalsh takes the spectra of a block of steps
+        counted, spectra = np.linalg.eigvalsh, []
+
+        def eigvalsh(m):
+            spectra.append(int(np.prod(m.shape[:-2])))
+            return counted(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         eig_calls.clear()
         integrate_flow(UNIFORM, SZ, 1.0, 1e-3)
-        assert eig_calls == {"eigh": 1, "eigvalsh": 1000}
+        assert eig_calls == {"eigh": 1, "eigvalsh": -(-1000 // FLOW_BLOCK)}
+        assert sum(spectra) == 1000
 
     def test_sample_budget(self):
         traj = integrate_flow(UNIFORM, SZ, 2.0, 1e-3)
@@ -231,6 +244,125 @@ class TestMatrixFormReference:
             rho, a = rand_density(rng, n, 0.1 / n), rand_hermitian(rng, n)
             big = make_hermitian(scale * a.entries)
             assert_matches_matrix_form(rho, big, 1e-3 / scale, 1e-5 / scale)
+
+
+def per_step_flow(start, observable, lambda_end, step):
+    """integrate_flow's RK4 with each step checked on its own: (sample, failure) per step.
+
+    The same operations on y = V† rho V, then the checks in their order: not finite, an
+    eigenvalue below -1e-8, and at a recorded step the density rule.  A sample is
+    (lam, mean, state); a failure is integrate_flow's message.  Stepping goes on past a
+    failure, so a test can see the later ones too.
+    """
+    length, sign = abs(lambda_end), (1.0 if lambda_end >= 0.0 else -1.0)
+    ratio = length / step
+    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    every = max(1, int(np.ceil(n_steps / 1000)))
+    a, v = np.linalg.eigh(observable.entries)
+    pair = (a[:, None] / 2.0 + a[None, :] / 2.0).astype(complex)
+    sums = np.stack([np.ones_like(a), a])
+
+    def rhs(m):
+        return (m.diagonal().real @ a - pair) * m
+
+    y = hermitian_part(v.conj().T @ start.entries @ v)
+    steps = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_steps + 1):
+            lam = sign * min(k * step, length)
+            h = lam - sign * min((k - 1) * step, length)
+            k1 = rhs(y)
+            k2 = rhs(y + (h / 2.0) * k1)
+            k3 = rhs(y + (h / 2.0) * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            sample = failure = None
+            if not np.isfinite(y).all():
+                failure = f"state at lambda {lam:.6g} is not finite; reduce the step"
+            elif (low := float(np.linalg.eigvalsh(y)[0])) < -1e-8:
+                failure = f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step"
+            elif k == n_steps or k % every == 0:
+                trace, mean = (sums @ y.diagonal().real).tolist()
+                try:
+                    state = _measured_density(hermitian_part(v @ y @ v.conj().T), trace, low)
+                    sample = (lam, mean, state)
+                except InputValidationError as exc:
+                    failure = (
+                        f"state at lambda {lam:.6g} is not a density operator "
+                        f"({type(exc).__name__}: {exc}); reduce the step"
+                    )
+            steps.append((sample, failure))
+    return steps
+
+
+def assert_same_as_per_step(start, observable, lambda_end, step):
+    """integrate_flow gives the per-step reference's samples bit for bit, or its first failure."""
+    steps = per_step_flow(start, observable, lambda_end, step)
+    failures = [failure for _, failure in steps if failure]
+    if failures:
+        with pytest.raises(PositivityLoss) as info:
+            integrate_flow(start, observable, lambda_end, step)
+        assert str(info.value) == failures[0]
+        return
+    samples = integrate_flow(start, observable, lambda_end, step).samples
+    expected = [sample for sample, _ in steps if sample]
+    assert len(samples) == len(expected) + 1
+    for got, (lam, mean, state) in zip(samples[1:], expected):
+        assert (got.lam, got.mean) == (lam, mean)
+        assert got.state.entries.tobytes() == state.entries.tobytes()
+
+
+class TestBlocks:
+    # the iterates of a block of steps are checked and recorded together; every output
+    # bit and the first failing step's message are the per-step integrator's
+
+    @pytest.mark.parametrize("n_steps", [1, FLOW_BLOCK - 1, FLOW_BLOCK, FLOW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_block_boundaries(self, rng, n, n_steps):
+        for lambda_end in (1.0, -1.0):
+            a = rand_hermitian_radius(rng, n, 4.0)
+            rho0 = rand_density(rng, n, min_eig=0.1 / n)
+            assert_same_as_per_step(rho0, a, lambda_end * n_steps / 128, 1 / 128)
+
+    def test_thinned_record_over_many_blocks(self, rng):
+        # 2500 steps record every third one, and the endpoint
+        a, rho0 = rand_hermitian_radius(rng, 3, 4.0), rand_density(rng, 3, min_eig=0.03)
+        assert len(integrate_flow(rho0, a, 2500 / 1024, 1 / 1024).samples) == 835
+        assert_same_as_per_step(rho0, a, 2500 / 1024, 1 / 1024)
+
+    def test_smaller_blocks_for_large_dimensions(self, rng):
+        # at n = 40 a block holds 2^16 // 40^2 = 40 steps, so that its iterates fit 1 MiB
+        a, rho0 = rand_hermitian_radius(rng, 40, 2.0), rand_density(rng, 40, min_eig=0.0025)
+        assert_same_as_per_step(rho0, a, 41 / 512, 1 / 512)
+
+    @pytest.mark.parametrize(
+        "weights, values, step",
+        [
+            # an eigenvalue below -1e-8 at step 22, a non-finite iterate at step 26
+            ([0.5, 0.5], [1.0, -1.0], 2.08),
+            # a recorded trace off by more than 1e-10 at step 14, non-finite at step 38
+            ([0.444, 0.556], [0.45, 0.52], 2.32),
+        ],
+    )
+    def test_first_failing_step_in_a_block(self, weights, values, step):
+        start, a = make_density(np.diag(weights)), make_hermitian(np.diag(values))
+        steps = per_step_flow(start, a, 128 * step, step)
+        checks = {
+            k: next(c for c in ("not finite", "eigenvalue", "density") if c in failure)
+            for k, (_, failure) in enumerate(steps)
+            if failure
+        }
+        first = min(checks)
+        assert 0 < first % FLOW_BLOCK < FLOW_BLOCK - 1  # inside a block
+        assert any(
+            k // FLOW_BLOCK == first // FLOW_BLOCK and check != checks[first]
+            for k, check in checks.items()
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PositivityLoss) as info:
+                integrate_flow(start, a, 128 * step, step)
+        assert str(info.value) == steps[first][1]
 
 
 class TestClosedForm:

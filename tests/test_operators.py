@@ -69,6 +69,18 @@ class TestMakeHermitian:
             raw[0, 0], raw[1, 2], raw[2, 1] = -0.0, complex(-0.0, -0.0), complex(-0.0, 0.0)
             assert same_bits(hermitian_part(raw), raw / 2.0 + raw.conj().T / 2.0).all()
 
+    def test_stack_gives_each_matrix_bit_for_bit(self, rng):
+        # subnormal mirror entries such as 5e-324 keep their exact-mirror rule in a stack
+        values = np.array([0.0, -0.0, 5e-324, 1e-323, 0.5, -1.25, 1.5e308, -1.7e308])
+        for n in range(1, 5):
+            raw = rng.choice(values, (6, n, n)) + 1j * rng.choice(values, (6, n, n))
+            raw[:3] = np.triu(raw[:3]) + np.triu(raw[:3], 1).conj().swapaxes(1, 2)  # mirrored
+            raw[0, 0, -1] = raw[0, -1, 0] = 5e-324
+            stacked = hermitian_part(raw)
+            for matrix, got in zip(raw, stacked):
+                assert got.tobytes() == hermitian_part(matrix).tobytes()
+            assert stacked[0, 0, -1] == 5e-324 or n == 1
+
     @pytest.mark.parametrize("scale", [1e4, 1e7, 1e10])
     def test_computed_product_at_any_scale(self, rng, scale):
         # the rounding asymmetry of XY + YX grows with its entries, and so does the margin
@@ -333,19 +345,32 @@ def test_operands_share_one_dimension(routine):
 
 
 @pytest.mark.parametrize(
-    "routine",
+    "routine, solver",
     [
-        lambda: eig_hermitian(_A3),
-        lambda: qm.relative_entropy(_RHO2, _RHO2),
-        lambda: qm.gibbs_state([0.1], (_A2,)),
-        lambda: qm.partition_function([0.1], (_A2,)),
+        (lambda: eig_hermitian(_A3), "eigh"),
+        (lambda: qm.relative_entropy(_RHO2, _RHO2), "eigh"),
+        (lambda: qm.gibbs_state([0.1], (_A2,)), "eigh"),
+        (lambda: qm.partition_function([0.1], (_A2,)), "eigh"),
+        (lambda: qm.von_neumann_entropy(_RHO2), "eigvalsh"),
+        (lambda: make_density(np.eye(2) / 2), "eigvalsh"),
+        (lambda: trace_distance(_RHO2, _RHO2), "eigvalsh"),
+        (lambda: qm.integrate_flow(_RHO2, _A2, 0.1, 0.01), "eigvalsh"),
     ],
-    ids=["eig_hermitian", "relative_entropy", "gibbs_state", "partition_function"],
+    ids=[
+        "eig_hermitian",
+        "relative_entropy",
+        "gibbs_state",
+        "partition_function",
+        "von_neumann_entropy",
+        "make_density",
+        "trace_distance",
+        "integrate_flow",
+    ],
 )
-def test_eigensolver_failure_is_typed(monkeypatch, routine):
+def test_eigensolver_failure_is_typed(monkeypatch, routine, solver):
     def fail(matrix):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, solver, fail)
     with pytest.raises(ConvergenceFailure, match="eigendecomposition failed"):
         routine()
