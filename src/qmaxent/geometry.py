@@ -21,7 +21,8 @@ classical term and a rotation term:
     ds^2 = sum_k dp_k^2 / p_k
            + 2 dtheta^2 sum_{j != k} (p_j - p_k)^2 / (p_j + p_k) |h_jk|^2,
 
-the Braunstein-Caves distinguishability metric.
+the Braunstein-Caves distinguishability metric.  Every routine here evaluates past
+double range without a warning, and one whose result is not finite raises Overflow.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotTraceless, SingularBase
+from .errors import DimMismatch, NotTraceless, Overflow, SingularBase
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -85,6 +86,19 @@ class TangentDecomposition:
         object.__setattr__(self, "dtheta", float(self.dtheta))
 
 
+def _finite(value, what: str):
+    """``value``, a number or an array, once every entry is finite; else Overflow."""
+    if not np.isfinite(value).all():
+        raise Overflow(f"{what} is not finite in double precision")
+    return value
+
+
+def _operator(matrix: np.ndarray, what: str) -> HermitianOperator:
+    """The Hermitian operator of ``matrix``, which its caller computes under np.errstate,
+    once every entry is finite; else Overflow."""
+    return HermitianOperator(hermitian_part(_finite(matrix, what)))
+
+
 def _lowering_kernel(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p, V, K) of a full-rank state: its eigensystem and the lowering kernel 2/(p_j + p_k)."""
     p, v = eig_hermitian(state)
@@ -108,8 +122,9 @@ def raise_form(state: DensityOperator, form: HermitianOperator) -> HermitianOper
     is Hermitian but generally not traceless: only zero-mean forms raise to tangent vectors.
     """
     _common_dim(state, form)
-    out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
-    return HermitianOperator(hermitian_part(out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
+    return _operator(out, "R_rho(B)")
 
 
 def lower_vector(state: DensityOperator, vector: HermitianOperator) -> HermitianOperator:
@@ -121,19 +136,25 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
     """
     _common_dim(state, vector)
     _, v, kernel = _lowering_kernel(state)
-    return HermitianOperator(hermitian_part(_in_basis(vector.entries, v, kernel)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _in_basis(vector.entries, v, kernel)
+    return _operator(out, "L_rho(V)")
 
 
 def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
     """g_rho(A, B) = <(AB + BA)/2> = tr[A R_rho(B)]: symmetric and bilinear in both slots."""
     _common_dim(state, a, b)
-    return _pairing(a.entries, raise_form(state, b).entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _pairing(a.entries, raise_form(state, b).entries)
+    return _finite(value, "g_rho(A, B)")
 
 
 def metric_vectors(state: DensityOperator, v: HermitianOperator, w: HermitianOperator) -> float:
     """g_rho(V, W) = tr[W L_rho(V)]: the metric pulled to vector components."""
     _common_dim(state, v, w)
-    return _pairing(w.entries, lower_vector(state, v).entries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _pairing(w.entries, lower_vector(state, v).entries)
+    return _finite(value, "g_rho(V, W)")
 
 
 def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
@@ -145,7 +166,9 @@ def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     """
     _common_dim(state, d.h)
     p, _, kernel = _lowering_kernel(state)
-    return float((np.abs(_tangent_in_basis(p, d)) ** 2 * kernel).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float((np.abs(_tangent_in_basis(p, d)) ** 2 * kernel).sum())
+    return _finite(value, "the line element")
 
 
 def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> HermitianOperator:
@@ -156,11 +179,13 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     """
     _common_dim(state, d.h)
     p, v = eig_hermitian(state)
-    out = v @ _tangent_in_basis(p, d) @ v.conj().T
-    return HermitianOperator(hermitian_part(out))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v @ _tangent_in_basis(p, d) @ v.conj().T
+    return _operator(out, "the assembled direction")
 
 
 def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The observable recentered to zero mean: A - <A> 1."""
-    mean = expectation(state, observable)
-    return HermitianOperator(observable.entries - mean * np.eye(state.dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = observable.entries - expectation(state, observable) * np.eye(state.dim)
+    return _operator(out, "A - <A> 1")

@@ -22,20 +22,24 @@ Hessian-vector products in the dual evaluation's eigenbasis, preconditioned
 with n Gram^-1 and stopped once the linearized gradient is within a tenth of
 the tolerance.  The line search also accepts a step whose gradient already
 meets the tolerance, since rounding in the dual value can outweigh the Armijo
-decrease there.  The estimate's entropy comes from the last dual evaluation's
-spectrum.  Every state has tr(rho sum_k lam_k A_k) >= w_min, its smallest
-eigenvalue, and one meeting the targets has it equal to lam . t, so
-lam . t < w_min (a separating hyperplane) proves the targets unreachable; as
-log Z >= -w_min, this fires wherever the dual value is negative, and sooner.
+decrease there.  The estimate V diag(p) V^dag and its entropy come from the last
+dual evaluation, and so does its positivity: its spectrum is p >= 0 up to O(n eps),
+so no second eigendecomposition judges it.  Every state has
+tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue, and one meeting the
+targets has it equal to lam . t, so lam . t < w_min (a separating hyperplane)
+proves the targets unreachable; as log Z >= -w_min, this fires wherever the dual
+value is negative, and sooner.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
-``ConstraintSet`` runs eigvalsh only on targets outside that inner range or
-within 1e-10 ||A||_F (far above rounding and LAPACK's error) of its ends.  Each
-A_k is held as its n^2 real coordinates c(A_k) (``operators._pack``): sum_k x_k A_k
-is x . c(A) unpacked once, and tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal
-coordinates doubled.  Exponents are shifted, so Overflow means that sum_k lam_k A_k,
-Z or the dual value is not finite.
+``ConstraintSet`` climbs a ladder of certificates, each run only on the targets that
+the rung before leaves outside its range or within 1e-10 ||A||_F (far above rounding
+and LAPACK's error) of its ends: the diagonal; the O(n) pairs of the smallest or
+largest diagonal entry; all O(n^2) pairs; eigvalsh.  Each A_k is held as its n^2
+real coordinates c(A_k) (``operators._pack``): sum_k x_k A_k is x . c(A) unpacked
+once, and tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal coordinates doubled.
+Exponents are shifted, so Overflow means that sum_k lam_k A_k, Z or the dual value
+is not finite.
 
 ``solve_prior_tilt`` handles the single-constraint update of an arbitrary
 prior rho0 via the symmetric exponential tilt
@@ -48,7 +52,8 @@ A commute; this module always uses the symmetric form and makes no
 optimality claim for it in the non-commuting case.)  In A's eigenbasis the
 constraint reduces to a classical tilted mean that is strictly decreasing
 in lam, so the multiplier is found by a safeguarded Newton iteration with
-a bisection fallback.
+a bisection fallback, run on A's eigenvalues centred at the target and divided by
+their spread, while the target is met in the caller's units.
 """
 
 from __future__ import annotations
@@ -75,11 +80,14 @@ from .operators import (
     _eigh,
     _eigvalsh,
     _in_basis,
+    _measured_density,
     _pair_bounds,
+    _pivot_bound,
     _split,
     _tilt,
     _tilt_support,
     _unpack,
+    hermitian_part,
 )
 from .entropy import _entropy_of_spectrum
 
@@ -107,8 +115,9 @@ class ConstraintSet:
 
     Construction checks that all observables share one dimension, that each
     target lies inside the spectral range of its observable (a necessary
-    feasibility condition, certified by the 2x2 principal submatrices or else
-    by ``eigvalsh``), and that the traceless parts of the observables
+    feasibility condition, certified by the diagonal, then the 2x2 principal
+    submatrices of the smallest or largest diagonal entry, then all of them, or else by
+    ``eigvalsh``), and that the traceless parts of the observables
     are numerically independent (condition number of their correlation
     matrix at most 1e12, whatever their scales; one proportional to I fails);
     dependent constraints would make the multipliers non-unique and are
@@ -171,7 +180,13 @@ class ConstraintSet:
         diag = _split(coords)[0]
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
-            lo[k], hi[k] = _pair_bounds(coords[k])
+            c, t, e = coords[k], targets[k], margin[k]
+            if not lo[k] + e < t:  # O(n): the pairs of the smallest diagonal entry
+                lo[k] = _pivot_bound(c, least=True)
+            if not t < hi[k] - e:
+                hi[k] = _pivot_bound(c, least=False)
+            if not lo[k] + e < t < hi[k] - e:  # O(n^2): every pair
+                lo[k], hi[k] = _pair_bounds(c)
         return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
@@ -390,7 +405,7 @@ def solve_maxent(
     lam, precond, iterations = np.zeros(constraints.m), constraints._precond, 0
     value = log_z = float(np.log(n))
     gradient = targets - _split(coords)[0].sum(axis=1) / n
-    state, eig = np.eye(n) / n, (np.zeros(n), None, np.full(n, 1.0 / n))
+    state, eig = (np.eye(n) / n).astype(complex), (np.zeros(n), None, np.full(n, 1.0 / n))
     residual = float(abs(gradient).max(initial=0.0))
     while not residual <= tol:
         if iterations >= max_iter:
@@ -427,13 +442,14 @@ def solve_maxent(
         iterations += 1
         residual = float(abs(gradient).max(initial=0.0))
 
-    achieved = targets - gradient
+    achieved, entries = targets - gradient, hermitian_part(state)
     lam.setflags(write=False)
     achieved.setflags(write=False)
     return MaxEntSolution(
         multipliers=lam,
         lambda0=log_z,
-        estimate=DensityOperator(state),
+        # positive by construction: V diag(p) V^dag is within O(n eps) of its spectrum p >= 0
+        estimate=_measured_density(entries, float(np.trace(entries).real), float(eig[2].min())),
         achieved=achieved,
         s_max=_entropy_of_spectrum(eig[2]),
         iterations=iterations,
@@ -464,14 +480,15 @@ def entropy_sensitivity(
     return out
 
 
-def _tilted_mean_var(lam: float, a: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Mean and variance of the spectrum ``a`` under weights d_i exp(-lam a_i)."""
-    u = -lam * a
-    q = d * np.exp(u - u.max())
+def _tilted_mean_var(mu: float, d: np.ndarray, ua: np.ndarray) -> tuple[float, float, float]:
+    """Mean and variance of u, and the mean of a, under weights d_i exp(-mu u_i); ``ua`` holds
+    the rows u and a."""
+    u = ua[0]
+    x = -mu * u
+    q = d * np.exp(x - x.max())
     q /= q.sum()
-    mean = float(q @ a)
-    var = float(q @ (a - mean) ** 2)
-    return mean, var
+    mean, caller = (ua @ q).tolist()
+    return mean, float(q @ (u - mean) ** 2), caller
 
 
 def solve_prior_tilt(
@@ -490,34 +507,44 @@ def solve_prior_tilt(
     strictly decreasing; the root is unique and found by safeguarded Newton
     with bisection fallback on a bracketing interval.  Feasible targets lie
     strictly between the smallest and largest eigenvalue of A that carries
-    prior weight.
+    prior weight.  The iteration runs on u = (a - target)/(max a - min a) over
+    the support and mu = lam (max a - min a), so no rule depends on A's scale,
+    while ``tol`` is met by the mean of A in the caller's units.
     """
     _check_controls(tol, max_iter)
     support = _tilt_support(prior, observable, target, tol, "prior")
     if support is None:
         return 0.0, prior
     w, v, a_s, d_s = support
+    # a_s descends, as eig_hermitian's eigenvalues do; halved first so that no difference overflows
+    spread = float(a_s[0]) / 2 - float(a_s[-1]) / 2
+    ua = np.array((a_s / 2 - target / 2, a_s))
+    ua[0] /= spread  # u = (a - target)/(max a - min a): the tilt by mu u is the tilt by lam a
 
-    mean0, _ = _tilted_mean_var(0.0, a_s, d_s)
-    if abs(mean0 - target) <= tol:
+    def met(mean: float) -> bool:
+        return abs(mean / 2 - target / 2) <= tol / 2
+
+    mean0, var0, mean = _tilted_mean_var(0.0, d_s, ua)
+    if met(mean):
         return 0.0, prior
 
-    # mean is strictly decreasing in lam and saturates at an end of the support,
-    # which lies strictly past the target: double away from 0 toward the target
-    sign = 1.0 if mean0 > target else -1.0
-    inner, outer = 0.0, sign
-    while sign * (_tilted_mean_var(outer, a_s, d_s)[0] - target) > 0.0:
+    # the mean is strictly decreasing in mu and saturates at an end of the support,
+    # which lies strictly past the target: double away from 0 toward the target,
+    # from the Newton step at 0
+    sign = 1.0 if mean0 > 0.0 else -1.0
+    inner, outer = 0.0, (mean0 / var0 if mean0 and var0 > 0.0 else sign)
+    while sign * _tilted_mean_var(outer, d_s, ua)[0] > 0.0:
         inner, outer = outer, 2.0 * outer
-        if not np.isfinite(outer * (a_s.max() - a_s.min())):
+        if not np.isfinite(outer / spread):  # lam = mu / (2 spread) too
             raise Infeasible(f"target {target!r} numerically at the boundary")
     xlo, xhi = sorted((inner, outer))
 
     x = 0.5 * (xlo + xhi)
     for _ in range(max_iter):
-        mean, var = _tilted_mean_var(x, a_s, d_s)
-        fx = mean - target
-        if abs(fx) <= tol:
-            return float(x), _tilt(prior, w, v, x)
+        fx, var, mean = _tilted_mean_var(x, d_s, ua)
+        if met(mean):
+            lam = x / 2 / spread
+            return lam, _tilt(prior, w, v, lam)
         if fx > 0.0:
             xlo = x
         else:
@@ -545,10 +572,12 @@ def classical_gibbs_oracle(
     Solves the scalar analogue of the operator problem by a damped Newton iteration on
     the classical dual (the Hessian is the covariance of the value vectors, available in
     closed form) in values (v - t)/(max v - min v) over the support, so no rule depends on
-    their scale; ``tol`` is in the caller's units.  Each step solves (H + nu I) d = -g with
-    nu = 1e-14 tr H + ||g|| / (1 + max|mu|) (Levenberg-Marquardt), so ||d|| <= 1 + max|mu| for
-    the scaled multipliers mu: the large mu that tiny weights need are reached geometrically,
-    and where H underflows to 0 the step is steepest descent's, of that length.
+    their scale, while convergence is judged on sum_i p_i v_ki - t_k in the caller's units (a
+    target below the values' resolution raises MaxIterExceeded).  Each step solves
+    (H + nu I) d = -g with nu = 1e-14 tr H + ||g|| / (1 + max|mu|) (Levenberg-Marquardt), so
+    ||d|| <= 1 + max|mu| for the scaled multipliers mu: the large mu that tiny weights need
+    are reached geometrically, and where H underflows to 0 the step is steepest descent's,
+    of that length.
     The separating hyperplane lam . t < min_i lam . v_i over the support proves targets
     jointly unreachable.  Deliberately shares no code with the operator path so it can serve as
     an independent cross-check on commuting instances.
@@ -603,7 +632,7 @@ def classical_gibbs_oracle(
     mu = np.zeros(m)  # mu_k = lam_k (hi_k - lo_k), lam the caller's multipliers
     value, gradient, hess, p = point(mu)
     for _ in range(max_iter):
-        if (spread * abs(gradient)).max() <= tol / 2:
+        if abs(vs @ p / 2 - t / 2).max() <= tol / 2:  # sum_i p_i v_ki within tol of t_k
             out = np.zeros(w.size)
             out[support] = p
             return out

@@ -291,7 +291,8 @@ def _check_controls(tol: float, max_iter: int) -> None:
 
 def _in_basis(x: np.ndarray, v: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """V (K o V^dag X V) V^dag: the map of every monotone metric (Petz), each with its kernel K."""
-    return v @ (kernel * (v.conj().T @ x @ v)) @ v.conj().T
+    vh = v.conj().T
+    return v @ (kernel * (vh @ x @ v)) @ vh
 
 
 def _pairing(x: np.ndarray, y: np.ndarray) -> float:
@@ -335,9 +336,9 @@ def _unpack(c: np.ndarray) -> np.ndarray:
 
 def _coordinates(operators, n: int) -> np.ndarray:
     """The (m, n^2) coordinates of m Hermitian n x n operators, packed row by row in place."""
-    out = np.empty((len(operators), n * n))
+    out, index = np.empty((len(operators), n * n)), _layout(n)[0]
     for k, a in enumerate(operators):
-        out[k] = _pack(a.entries)
+        a.entries.reshape(-1).view(np.float64).take(index, out=out[k], mode="clip")
     return out
 
 
@@ -363,6 +364,21 @@ def _pair_bounds(c: np.ndarray) -> tuple[float, float]:
     return float((mid - rad).min(initial=d.min())), float((mid + rad).max(initial=d.max()))
 
 
+def _pivot_bound(c: np.ndarray, least: bool) -> float:
+    """The least (or greatest) eigenvalue of the 2x2 principal submatrices that pair the
+    smallest (or largest) diagonal entry a_pp with each other index: reads only the 2(n - 1)
+    coordinates of the a_pj.  ``_pair_bounds`` computes each of these bit for bit, so this
+    bound never certifies a target that the all-pairs bound does not."""
+    n = isqrt(c.size)
+    d = c[:n]
+    p = d.argmin() if least else d.argmax()
+    part = c[_layout(n)[3][p]]  # Re a_pj, Im a_pj for each j; j = p reads a_pp and c_0
+    rad = np.hypot(np.hypot((d - d[p]) / 2.0, part[::2]), part[1::2])
+    rad[p] = 0.0  # j = p: the 1x1 submatrix a_pp
+    mid = (d + d[p]) / 2.0
+    return float((mid - rad).min()) if least else float((mid + rad).max())
+
+
 def expectation(state: DensityOperator, observable: HermitianOperator) -> float:
     """tr(rho A), real by construction."""
     _common_dim(state, observable)
@@ -370,9 +386,22 @@ def expectation(state: DensityOperator, observable: HermitianOperator) -> float:
 
 
 def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
-    """Frobenius norm of AB - BA; zero iff A and B are simultaneously diagonalizable."""
+    """Frobenius norm of AB - BA; zero iff A and B are simultaneously diagonalizable.
+
+    Squares that overflow are summed again scaled by a power of two; Overflow means that
+    AB - BA or its norm is not finite in double precision.
+    """
     _common_dim(a, b)
-    return float(np.linalg.norm(a.entries @ b.entries - b.entries @ a.entries, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = a.entries @ b.entries - b.entries @ a.entries
+        value = float(np.linalg.norm(c, "fro"))
+        if np.isinf(value) and np.isfinite(c).all():
+            parts = c.reshape(-1).view(np.float64)
+            scale = int(np.frexp(np.abs(parts).max())[1])
+            value = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -scale)), scale))
+    if not np.isfinite(value):
+        raise Overflow("AB - BA or its Frobenius norm is not finite in double precision")
+    return value
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

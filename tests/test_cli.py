@@ -282,6 +282,18 @@ class TestLargeObservables:
 
 
 class TestErrorMapping:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e160, 1.5e308])
+    def test_metric_overflow_exit_code(self, capsys, tmp_path, scale):
+        # g(A, A) of diag(s, -s, 0) overflows; at 1.5e308 so does R_rho(A) itself
+        a = operator_to_document(make_hermitian(np.diag([scale, -scale, 0.0])))
+        prior = operator_to_document(make_hermitian(np.diag([0.7, 0.2, 0.1])))
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"mode": "metric", "observables": [a, a], "prior": prior}))
+        code, out, err = run_captured(capsys, ["metric", "--problem", str(path)])
+        assert (code, out, err.count("\n")) == (4, "", 1)
+        assert json.loads(err)["error"] == "Overflow"
+
     def test_malformed_json(self, capsys):
         code, _, err = run_captured(
             capsys, ["estimate", "--problem", fixture("malformed.json")]

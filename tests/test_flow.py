@@ -25,7 +25,7 @@ from qmaxent import (
     zero_mean_form,
 )
 from qmaxent.flow import FLOW_BLOCK
-from qmaxent.operators import _measured_density
+from qmaxent.operators import _measured_density, _pairing
 
 from helpers import (
     SIGMA_X,
@@ -499,13 +499,16 @@ class TestFlowToConstraint:
             with pytest.raises(MaxIterExceeded):
                 route(prior, a, 9e-306, tol=1e-322)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
     def test_routes_are_scale_free(self, route):
         prior = make_density((np.eye(2) + 0.5 * SIGMA_X) / 2)
         unit, _ = route(prior, SZ, 0.6, tol=1e-10)
-        for s in (1e-15, 1e-7, 1.0, 1e3):
-            lam, _ = route(prior, make_hermitian(s * SIGMA_Z), s * 0.6, tol=1e-10 * s)
+        for s in (1e-15, 1e-7, 1.0, 1e3, 1e160, 1e300):
+            a = make_hermitian(s * SIGMA_Z)
+            lam, state = route(prior, a, s * 0.6, tol=1e-10 * s)
             assert abs(lam * s - unit) <= 1e-8
+            assert abs(_pairing(state.entries, a.entries) - s * 0.6) <= 1e-10 * s
 
     def test_one_eigendecomposition_per_call(self, rng, eig_calls):
         prior = rand_density(rng, 4, min_eig=0.05)

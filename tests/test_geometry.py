@@ -6,9 +6,11 @@ import pytest
 from qmaxent import (
     DimMismatch,
     NotTraceless,
+    Overflow,
     SingularBase,
     TangentDecomposition,
     assemble_tangent,
+    commutator_norm,
     expectation,
     line_element,
     lower_vector,
@@ -227,3 +229,30 @@ def test_orthogonality_of_raised_zero_mean_form(rng):
         tangent = zero_pairing_tangent(rng, n, delta.entries)
         value = metric_vectors(rho, raise_form(rho, delta), tangent)
         assert abs(value) <= 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_results_are_typed():
+    # every routine evaluates past double range without a warning and refuses what is not finite
+    rho = make_density(np.diag([0.7, 0.2, 0.1]))
+    big, huge = (make_hermitian(np.diag([s, -s, 0.0])) for s in (1e160, 1.5e308))
+    off = make_hermitian(1e308 * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    shifts = TangentDecomposition([1e160, -1e160, 0.0], 0.0, make_hermitian(np.zeros((3, 3))))
+    rotation = TangentDecomposition([0.0, 0.0, 0.0], 1e308, off)
+    calls = [
+        lambda: metric_forms(rho, big, big),  # once printed as {"value": Infinity}
+        lambda: metric_forms(rho, huge, huge),
+        lambda: metric_vectors(rho, big, big),
+        lambda: raise_form(rho, huge),
+        lambda: lower_vector(rho, huge),
+        lambda: line_element(rho, shifts),
+        lambda: assemble_tangent(rho, rotation),
+        lambda: zero_mean_form(rho, huge),
+        lambda: commutator_norm(off, huge),
+    ]
+    for call in calls:
+        with pytest.raises(Overflow):
+            call()
+    # a norm whose squares overflow is still finite
+    scaled = commutator_norm(make_hermitian(1e150 * SIGMA_X), make_hermitian(1e150 * SIGMA_Z))
+    assert scaled == pytest.approx(1e300 * commutator_norm(SX, SZ), rel=1e-15)

@@ -225,7 +225,7 @@ class TestConstraintSet:
             return ulps + relative + [(lo + hi) / 2, hi + 0.5 * scale, lo - 0.5 * scale]
 
         for _ in range(300):
-            n, m = int(rng.choice([4, 6])), int(rng.integers(1, 4))
+            n, m = int(rng.choice([4, 6, 16, 32])), int(rng.integers(1, 4))
             make = (diagonal, blocks, lambda n: rand_hermitian(rng, n))[int(rng.integers(3))]
             observables = tuple(make(n) for _ in range(m))
             targets = [rng.choice(candidates(np.linalg.eigvalsh(a.entries))) for a in observables]
@@ -465,8 +465,8 @@ class TestSolveMaxEnt:
             counts.append(eig_calls["eigvalsh"])
             # one eigh per dual evaluation; the estimate reuses the last accepted one
             assert eig_calls["eigh"] == len(evaluations)
-        # the estimate's positivity check, whatever m is; s_max reuses the dual's spectrum
-        assert counts == [1, 1]
+        # none, whatever m is: the estimate's positivity and s_max read the dual's spectrum
+        assert counts == [0, 0]
 
     def test_uniform_start_needs_no_decomposition(self, rng, eig_calls):
         n = 5
@@ -474,11 +474,26 @@ class TestSolveMaxEnt:
         constraints = ConstraintSet(observables, [np.trace(a.entries).real / n for a in observables])
         eig_calls.clear()
         sol = solve_maxent(constraints)
-        # I/n meets the targets: only the estimate's positivity check decomposes anything
-        assert eig_calls == {"eigvalsh": 1}
+        # I/n meets the targets, and its spectrum 1/n certifies the estimate: nothing decomposes
+        assert not eig_calls
         assert sol.iterations == 0 and not sol.multipliers.any()
         assert sol.lambda0 == np.log(n)
         assert sol.s_max == pytest.approx(np.log(n), abs=1e-14)
+
+    def test_estimate_is_certified_by_its_spectrum(self, rng):
+        # the estimate's positivity is read from the spectrum p it is built from, V diag(p) V^dag
+        cases = [gibbs_instance(rng, n, m, 0.5) for n, m in ((2, 3), (8, 10), (16, 20), (32, 30))]
+        for scale in (4.0, 6.0, 8.0):  # low temperature: unnormalised observables, large lam
+            observables = tuple(rand_hermitian(rng, 6) for _ in range(4))
+            state = gibbs_state(rng.normal(0.0, scale, size=4), observables)
+            cases.append(ConstraintSet(observables, [expectation(state, a) for a in observables]))
+        cases.append(ConstraintSet((), [], dim=3))
+        for cs in cases:
+            sol = solve_maxent(cs)
+            p = qmaxent.maxent._dual_point(sol.multipliers, cs._coords, cs.targets)[4][2]
+            smallest = np.linalg.eigvalsh(sol.estimate.entries)[0]
+            assert smallest >= -1e-14
+            assert abs(smallest - p.min()) <= 1e-14
 
     def test_one_decomposition_per_evaluation(self, rng, eig_calls, monkeypatch):
         constraints = gibbs_instance(rng, 16, 20, 0.5)  # before the count: gibbs_state evaluates too
@@ -769,6 +784,15 @@ class TestClassicalOracle:
         for weights, t in ([1.0, 1e-20], 0.99999999), ([1.0, 1e-300], 0.5), ([1.0, 5e-324], 0.5):
             p = classical_gibbs_oracle(weights, [[v1, v2]], [t])
             assert np.abs(p - [(v2 - t) / (v2 - v1), (t - v1) / (v2 - v1)]).max() <= 1e-12
+
+    def test_target_below_the_values_resolution_is_not_met(self):
+        # centred at 3.0 and divided by their spread, the values are exactly -+1/2: their mean
+        # 0 looks met there, a miss of 3.0 in the caller's units
+        with pytest.raises(MaxIterExceeded):
+            classical_gibbs_oracle([0.5, 0.5], [[1e17, -1e17]], [3.0])
+        # at a tolerance the values resolve, the same route meets a target off the midpoint
+        p = classical_gibbs_oracle([0.5, 0.5], [[1e17, -1e17]], [3e12], tol=1e5)
+        assert abs(p @ [1e17, -1e17] - 3e12) <= 1e5
 
     def test_targets_hit_random(self, rng):
         for _ in range(30):
