@@ -35,9 +35,9 @@ interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 ``ConstraintSet`` climbs a ladder of certificates, each run only on the targets that
 the rung before leaves outside its range or within 1e-10 ||A||_F (far above rounding
 and LAPACK's error) of its ends: the diagonal; the O(n) pairs of the smallest or
-largest diagonal entry; all O(n^2) pairs; eigvalsh.  Each A_k is held as its n^2
-real coordinates c(A_k) (``operators._pack``): sum_k x_k A_k is x . c(A) unpacked
-once, and tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal coordinates doubled.
+largest diagonal entry; eigvalsh.  Each A_k is held as its n^2 real coordinates
+c(A_k) (``operators._pack``): sum_k x_k A_k is x . c(A) unpacked once, and
+tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal coordinates doubled.
 Exponents are shifted, so Overflow means that sum_k lam_k A_k, Z or the dual value
 is not finite.
 
@@ -81,7 +81,6 @@ from .operators import (
     _eigvalsh,
     _in_basis,
     _measured_density,
-    _pair_bounds,
     _pivot_bound,
     _split,
     _tilt,
@@ -116,7 +115,7 @@ class ConstraintSet:
     Construction checks that all observables share one dimension, that each
     target lies inside the spectral range of its observable (a necessary
     feasibility condition, certified by the diagonal, then the 2x2 principal
-    submatrices of the smallest or largest diagonal entry, then all of them, or else by
+    submatrices of the smallest or largest diagonal entry, or else by
     ``eigvalsh``), and that the traceless parts of the observables
     are numerically independent (condition number of their correlation
     matrix at most 1e12, whatever their scales; one proportional to I fails);
@@ -175,7 +174,7 @@ class ConstraintSet:
 
     @staticmethod
     def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
-        """Indices of the targets that the 2x2 principal submatrices leave undecided."""
+        """Indices of the targets that the diagonal and the pivot pairs leave undecided."""
         margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
         diag = _split(coords)[0]
         lo, hi = diag.min(axis=1), diag.max(axis=1)
@@ -185,8 +184,6 @@ class ConstraintSet:
                 lo[k] = _pivot_bound(c, least=True)
             if not t < hi[k] - e:
                 hi[k] = _pivot_bound(c, least=False)
-            if not lo[k] + e < t < hi[k] - e:  # O(n^2): every pair
-                lo[k], hi[k] = _pair_bounds(c)
         return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
@@ -509,7 +506,8 @@ def solve_prior_tilt(
     strictly between the smallest and largest eigenvalue of A that carries
     prior weight.  The iteration runs on u = (a - target)/(max a - min a) over
     the support and mu = lam (max a - min a), so no rule depends on A's scale,
-    while ``tol`` is met by the mean of A in the caller's units.
+    while ``tol`` is met by the mean of A in the caller's units.  An iterate that
+    repeats would repeat forever, so it raises MaxIterExceeded at once.
     """
     _check_controls(tol, max_iter)
     support = _tilt_support(prior, observable, target, tol, "prior")
@@ -555,6 +553,10 @@ def solve_prior_tilt(
             candidate = 0.5 * (xlo + xhi)
         if not (xlo < candidate < xhi):
             candidate = 0.5 * (xlo + xhi)
+        if candidate == x:  # every later step would repeat this one
+            raise MaxIterExceeded(
+                f"target {target!r} below the resolution of A's eigenvalues: mean {mean!r} repeats"
+            )
         x = candidate
     raise MaxIterExceeded(f"no convergence after {max_iter} Newton iterations")
 
@@ -655,5 +657,9 @@ def classical_gibbs_oracle(
             step *= ARMIJO_SHRINK
             if step < 1e-20:
                 raise MaxIterExceeded("line search stalled")
+        if np.array_equal(trial, mu):  # every later step would repeat this one
+            raise MaxIterExceeded(
+                f"targets below the resolution of the values: means {(vs @ p).tolist()} repeat"
+            )
         mu, value, gradient, hess, p = trial, trial_value, trial_gradient, trial_hess, trial_p
     raise MaxIterExceeded(f"no convergence after {max_iter} Newton iterations")

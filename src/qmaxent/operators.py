@@ -307,15 +307,15 @@ def _pairing(x: np.ndarray, y: np.ndarray) -> float:
 # The n^2 real coordinates of an n x n Hermitian matrix are its diagonal, then the real and
 # the imaginary parts of its strict upper triangle, row by row; only this block knows that.
 @lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[np.ndarray, ...]:
-    """Coordinates' float64-view positions, pairs i < j, and each float64's coordinate and sign."""
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates' float64-view positions, and each float64's coordinate and sign by row."""
     rows, cols = np.triu_indices(n, 1)
     upper = 2 * (rows * n + cols)
     index = np.concatenate((2 * (n + 1) * np.arange(n), upper, upper + 1))
     source, sign = np.zeros((n, n, 2), np.intp), np.zeros((n, n, 2))
     source.reshape(-1)[index], sign.reshape(-1)[index] = np.arange(n * n), 1.0
     source[cols, rows], sign[cols, rows] = source[rows, cols], (1.0, -1.0)
-    arrays = index, rows, cols, source.reshape(n, 2 * n), sign.reshape(n, 2 * n)
+    arrays = index, source.reshape(n, 2 * n), sign.reshape(n, 2 * n)
     for array in arrays:
         array.setflags(write=False)
     return arrays
@@ -328,7 +328,7 @@ def _pack(x: np.ndarray) -> np.ndarray:
 
 def _unpack(c: np.ndarray) -> np.ndarray:
     """The Hermitian matrix of coordinates ``c``, one signed gather; Im a_ii is +0.0."""
-    source, sign = _layout(isqrt(c.size))[3:]
+    source, sign = _layout(isqrt(c.size))[1:]
     out = c[source] * sign
     out += 0.0  # -0.0 becomes +0.0, as in entries made by hermitian_part
     return out.view(np.complex128)
@@ -355,24 +355,16 @@ def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c[..., :n], c[..., n:]
 
 
-def _pair_bounds(c: np.ndarray) -> tuple[float, float]:
-    """Least and greatest eigenvalue of the 1x1 and 2x2 principal submatrices of coordinates c:
-    a_ii, and (a_ii + a_jj)/2 -+ sqrt(((a_ii - a_jj)/2)^2 + |a_ij|^2) for i < j."""
-    (d, off), (rows, cols) = _split(c), _layout(isqrt(c.size))[1:3]
-    mid = (d[rows] + d[cols]) / 2.0
-    rad = np.hypot(np.hypot((d[rows] - d[cols]) / 2.0, off[: len(rows)]), off[len(rows) :])
-    return float((mid - rad).min(initial=d.min())), float((mid + rad).max(initial=d.max()))
-
-
 def _pivot_bound(c: np.ndarray, least: bool) -> float:
     """The least (or greatest) eigenvalue of the 2x2 principal submatrices that pair the
-    smallest (or largest) diagonal entry a_pp with each other index: reads only the 2(n - 1)
-    coordinates of the a_pj.  ``_pair_bounds`` computes each of these bit for bit, so this
-    bound never certifies a target that the all-pairs bound does not."""
+    smallest (or largest) diagonal entry a_pp with each other index,
+    (a_pp + a_jj)/2 -+ sqrt(((a_pp - a_jj)/2)^2 + |a_pj|^2), and a_pp itself: by Cauchy
+    interlacing a bound on A's least (or greatest) eigenvalue from only the 2(n - 1)
+    coordinates of the a_pj."""
     n = isqrt(c.size)
     d = c[:n]
     p = d.argmin() if least else d.argmax()
-    part = c[_layout(n)[3][p]]  # Re a_pj, Im a_pj for each j; j = p reads a_pp and c_0
+    part = c[_layout(n)[1][p]]  # Re a_pj, Im a_pj for each j; j = p reads a_pp and c_0
     rad = np.hypot(np.hypot((d - d[p]) / 2.0, part[::2]), part[1::2])
     rad[p] = 0.0  # j = p: the 1x1 submatrix a_pp
     mid = (d + d[p]) / 2.0

@@ -184,8 +184,8 @@ class TestConstraintSet:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # a scaled copy of the coordinates for the independence check would double them,
-            # and the 2x2 bounds of all undecided targets at once would add a third of them
+            # a scaled copy of the coordinates for the independence check would double them;
+            # the pivot bounds read 2(n - 1) coordinates of one undecided target at a time
             assert peak <= 1.15 * cs._coords.nbytes
 
     def test_eigvalsh_only_for_uncertain_targets(self, rng, eig_calls):
@@ -211,12 +211,23 @@ class TestConstraintSet:
             return make_hermitian(np.diag(rng.normal(size=n)))
 
         def blocks(n):
-            # each 2x2 block's eigenvalues belong to the whole, so pairs reach w_min and w_max
+            # each 2x2 block's eigenvalues belong to the whole, so w_min and w_max are those
+            # of some block: the pivot reaches them only when it lies in that block
             out = np.zeros((n, n), complex)
             for i in range(0, n, 2):
                 g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 out[i : i + 2, i : i + 2] = g + g.conj().T
             return make_hermitian(out)
+
+        def pivot_block(n):
+            # one 2x2 block and a diagonal strictly between its diagonal entries, permuted: the
+            # block holds the extreme diagonal entries and both w_min and w_max
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            g += g.conj().T
+            out = np.diag(rng.uniform(*np.sort(g.diagonal().real), size=n)).astype(complex)
+            out[:2, :2] = g
+            perm = rng.permutation(n)
+            return make_hermitian(out[np.ix_(perm, perm)])
 
         def candidates(w):
             lo, hi, scale = w[0], w[-1], np.abs(w).max()
@@ -225,13 +236,14 @@ class TestConstraintSet:
             return ulps + relative + [(lo + hi) / 2, hi + 0.5 * scale, lo - 0.5 * scale]
 
         for _ in range(300):
-            n, m = int(rng.choice([4, 6, 16, 32])), int(rng.integers(1, 4))
-            make = (diagonal, blocks, lambda n: rand_hermitian(rng, n))[int(rng.integers(3))]
+            n, m = int(rng.choice([4, 6, 16, 32, 64])), int(rng.integers(1, 4))
+            kinds = (diagonal, blocks, pivot_block, lambda n: rand_hermitian(rng, n))
+            make = kinds[int(rng.integers(len(kinds)))]
             observables = tuple(make(n) for _ in range(m))
             targets = [rng.choice(candidates(np.linalg.eigvalsh(a.entries))) for a in observables]
             assert constraint_verdict(observables, targets) == range_verdict(observables, targets)
         # the certificate is not vacuous: 1e-9 inside either edge, both kinds need no spectrum
-        for a in (diagonal(6), blocks(6)):
+        for a in (diagonal(6), pivot_block(6)):
             w = np.linalg.eigvalsh(a.entries)
             inside = np.array([w[0], w[-1]]) + np.array([1e-9, -1e-9]) * np.abs(w).max()
             squares = np.full(2, np.sum(np.abs(a.entries) ** 2))
@@ -697,7 +709,8 @@ class TestEntropySensitivity:
 
 class TestPriorTilt:
     def test_uniform_prior_reduces_to_gibbs(self):
-        lam, est = solve_prior_tilt(make_density(np.eye(2) / 2), SZ, 0.6)
+        # tol bounds the mean, so lam only to about tol / var: solve well below 1e-10
+        lam, est = solve_prior_tilt(make_density(np.eye(2) / 2), SZ, 0.6, tol=1e-13)
         assert lam == pytest.approx(-np.log(2.0), abs=1e-10)
         assert np.allclose(np.diag(est.entries).real, [0.8, 0.2], atol=1e-10)
 
@@ -709,7 +722,7 @@ class TestPriorTilt:
 
     def test_non_commuting_hand_case(self):
         prior = make_density((np.eye(2) + 0.5 * SIGMA_X) / 2)
-        lam, est = solve_prior_tilt(prior, SZ, 0.6)
+        lam, est = solve_prior_tilt(prior, SZ, 0.6, tol=1e-13)
         assert lam == pytest.approx(-np.log(2.0), abs=1e-10)
         expected = np.array([[0.8, 0.2], [0.2, 0.2]])
         assert np.abs(est.entries - expected).max() <= 1e-10
@@ -737,6 +750,22 @@ class TestPriorTilt:
                     state = closed_form_flow(prior, a, float(lam))
                 means.append(expectation(state, a))
             assert np.all(np.diff(means) < 0.0)
+
+    def test_unresolved_target_stops_at_a_fixed_point(self, monkeypatch):
+        # eigenvalues -+1e300 resolve no mean near 0.5: the iterate repeats from about the
+        # 84th evaluation on, so the remaining iterations would change nothing
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args[0])
+            return tilted_mean_var(*args)
+
+        tilted_mean_var = qmaxent.maxent._tilted_mean_var
+        monkeypatch.setattr(qmaxent.maxent, "_tilted_mean_var", counted)
+        a = make_hermitian(np.diag([1e300, -1e300]))
+        with pytest.raises(MaxIterExceeded, match="below the resolution of A's eigenvalues"):
+            solve_prior_tilt(make_density(np.eye(2) / 2), a, 0.5, max_iter=500)
+        assert len(evaluations) <= 100
 
     def test_uniform_reduction_matches_solver(self, rng):
         for _ in range(20):
@@ -787,8 +816,9 @@ class TestClassicalOracle:
 
     def test_target_below_the_values_resolution_is_not_met(self):
         # centred at 3.0 and divided by their spread, the values are exactly -+1/2: their mean
-        # 0 looks met there, a miss of 3.0 in the caller's units
-        with pytest.raises(MaxIterExceeded):
+        # 0 looks met there, a miss of 3.0 in the caller's units; the gradient there is
+        # exactly 0, so the first step repeats the iterate and every later one would too
+        with pytest.raises(MaxIterExceeded, match="below the resolution of the values"):
             classical_gibbs_oracle([0.5, 0.5], [[1e17, -1e17]], [3.0])
         # at a tolerance the values resolve, the same route meets a target off the midpoint
         p = classical_gibbs_oracle([0.5, 0.5], [[1e17, -1e17]], [3e12], tol=1e5)
