@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .operators import DensityOperator, HermitianOperator, _hermitian
+from .operators import DensityOperator, HermitianOperator, _computed, _density, _hermitian
 
 __all__ = [
     "MODES",
@@ -74,12 +74,12 @@ def _operator_entries(doc) -> np.ndarray:
 
 def operator_from_document(doc) -> HermitianOperator:
     """Parse and validate an operator document."""
-    return HermitianOperator(_operator_entries(doc))
+    return _computed(_operator_entries(doc), HermitianOperator)
 
 
 def density_from_document(doc) -> DensityOperator:
     """Parse an operator document that must describe a density operator."""
-    return DensityOperator(_operator_entries(doc))
+    return _density(_operator_entries(doc))
 
 
 @dataclass(frozen=True, eq=False)

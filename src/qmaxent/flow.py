@@ -33,15 +33,18 @@ from .errors import (
     StepInvalid,
 )
 from .operators import (
+    SUPPORT_FLOOR,
     DensityOperator,
     HermitianOperator,
     _check_controls,
     _common_dim,
+    _computed,
     _eigh,
     _eigvalsh,
     _measured_density,
     _tilt,
     _tilt_support,
+    _weights,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -75,24 +78,17 @@ class FlowSample:
 
 @dataclass(frozen=True, eq=False)
 class FlowTrajectory:
-    """Ordered samples of an integrated flow, at most ~1001 of them."""
+    """Ordered samples of ``integrate_flow``, at most ~1001, their lam strictly monotone."""
 
     observable: HermitianOperator
     samples: tuple[FlowSample, ...]
     step: float
 
-    def __post_init__(self) -> None:
-        lams = [s.lam for s in self.samples]
-        if not lams:
-            raise InputValidationError("a trajectory needs at least one sample")
-        diffs = np.diff(lams)
-        if diffs.size and not (np.all(diffs > 0.0) or np.all(diffs < 0.0)):
-            raise InputValidationError("sample parameters must be strictly monotone")
-
 
 def flow_field(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The flow's velocity -R_rho(A - <A> 1) at ``state``: the raised zero-mean form, traceless."""
-    return HermitianOperator(-raise_form(state, zero_mean_form(state, observable)).entries)
+    raised = raise_form(state, zero_mean_form(state, observable))
+    return _computed(-raised.entries, HermitianOperator)
 
 
 def integrate_flow(
@@ -201,7 +197,8 @@ def closed_form_flow(
         raise InputValidationError(f"lam must be finite, got {lam!r}")
     if lam == 0.0:
         return start
-    return _tilt(start, *eig_hermitian(observable), lam)
+    w, v = eig_hermitian(observable)
+    return _tilt(start, w, v, _weights(start, v) > SUPPORT_FLOOR, lam)
 
 
 def flow_to_constraint(
@@ -223,16 +220,16 @@ def flow_to_constraint(
     the same state as the variational single-constraint tilt.
     """
     _check_controls(tol, max_iter)
-    support = _tilt_support(start, observable, target, tol, "state")
-    if support is None:
+    setup = _tilt_support(start, observable, target, tol, "state")
+    if setup is None:
         return 0.0, start
-    w, v = support[:2]
+    w, v, support = setup[:3]
     f0 = expectation(start, observable) - target
     if abs(f0) <= tol:
         return 0.0, start
 
     def offset(lam: float) -> tuple[float, DensityOperator]:
-        state = _tilt(start, w, v, lam)
+        state = _tilt(start, w, v, support, lam)
         return expectation(state, observable) - target, state
 
     # the mean saturates at an end of the support, which lies strictly past the

@@ -36,6 +36,7 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _common_dim,
+    _computed,
     _in_basis,
     _pairing,
     eig_hermitian,
@@ -96,7 +97,7 @@ def _finite(value, what: str):
 def _operator(matrix: np.ndarray, what: str) -> HermitianOperator:
     """The Hermitian operator of ``matrix``, which its caller computes under np.errstate,
     once every entry is finite; else Overflow."""
-    return HermitianOperator(hermitian_part(_finite(matrix, what)))
+    return _computed(hermitian_part(_finite(matrix, what)), HermitianOperator)
 
 
 def _lowering_kernel(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ the tolerance.  The line search also accepts a step whose gradient already
 meets the tolerance, since rounding in the dual value can outweigh the Armijo
 decrease there.  The estimate V diag(p) V^dag and its entropy come from the last
 dual evaluation, and so does its positivity: its spectrum is p >= 0 up to O(n eps),
-so no second eigendecomposition judges it.  Every state has
+so no second eigendecomposition judges it, nor ``gibbs_state``'s.  Every state has
 tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue, and one meeting the
 targets has it equal to lam . t, so lam . t < w_min (a separating hyperplane)
 proves the targets unreachable; as log Z >= -w_min, this fires wherever the dual
@@ -301,14 +301,16 @@ def partition_function(multipliers, observables) -> float:
 
 def gibbs_state(multipliers, observables) -> DensityOperator:
     """exp(-sum_k lam_k A_k) / Z, its exponent shifted; only an overflowing spectrum raises."""
-    return DensityOperator(_canonical(multipliers, observables)[2])
+    _, _, state, _, (_, _, p) = _canonical(multipliers, observables)
+    entries = hermitian_part(state)  # certified by its spectrum p >= 0, as solve_maxent's is
+    return _measured_density(entries, float(np.trace(entries).real), float(p.min()))
 
 
 def _dual_point(lam: np.ndarray, coords: np.ndarray, targets: np.ndarray):
     """Dual value, gradient, state, log Z and eigensystem (w, V, p) at ``lam``; m = 0 gives I/n.
 
     The state V diag(p) V^dag is Hermitian up to rounding: the pairings read its diagonal and
-    upper triangle, and DensityOperator symmetrizes it.
+    upper triangle, and ``hermitian_part`` symmetrizes it.
     """
     w, v = _eigh(_unpack(lam @ coords))
     log_z = float(np.logaddexp.reduce(-w))
@@ -510,10 +512,10 @@ def solve_prior_tilt(
     repeats would repeat forever, so it raises MaxIterExceeded at once.
     """
     _check_controls(tol, max_iter)
-    support = _tilt_support(prior, observable, target, tol, "prior")
-    if support is None:
+    setup = _tilt_support(prior, observable, target, tol, "prior")
+    if setup is None:
         return 0.0, prior
-    w, v, a_s, d_s = support
+    w, v, support, a_s, d_s = setup
     # a_s descends, as eig_hermitian's eigenvalues do; halved first so that no difference overflows
     spread = float(a_s[0]) / 2 - float(a_s[-1]) / 2
     ua = np.array((a_s / 2 - target / 2, a_s))
@@ -542,7 +544,7 @@ def solve_prior_tilt(
         fx, var, mean = _tilted_mean_var(x, d_s, ua)
         if met(mean):
             lam = x / 2 / spread
-            return lam, _tilt(prior, w, v, lam)
+            return lam, _tilt(prior, w, v, support, lam)
         if fx > 0.0:
             xlo = x
         else:

@@ -1,9 +1,9 @@
 """Dense Hermitian operator algebra.
 
 Everything in this package works on small dense complex matrices held in
-one fixed computational basis.  This module provides the two validated
-value types (Hermitian operators and density operators), eigendecomposition
-with a deterministic phase convention, spectral functions (exp, log),
+one fixed computational basis.  This module provides the two value types, judged
+as outside input by their constructors and wrapped as computed results by ``_computed``,
+eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
 expectation values, a couple of norms, and private real coordinates.
 
 Exponents are shifted, never refused in advance: Overflow means that a
@@ -65,12 +65,20 @@ SUPPORT_FLOOR = 1e-14
 
 
 def hermitian_part(matrix: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, halving each term first so no sum overflows; an entry equal to M†'s stays.
+    """(M + M†)/2 with each entry exactly rounded: exactly Hermitian, and M itself if M is.
 
-    A stack of matrices, (..., n, n), gives each matrix's result bit for bit.
+    The sum is halved through its parts (a complex division turns an infinite part into NaN),
+    and only an entry whose sum is not finite is recomputed as M/2 + M†/2.  A stack of
+    matrices, (..., n, n), gives each matrix's result bit for bit.
     """
-    out = matrix / 2.0 + matrix.conj().swapaxes(-1, -2) / 2.0
-    np.copyto(out, matrix, where=(out != matrix) & (matrix == matrix.conj().swapaxes(-1, -2)))
+    mirror = matrix.conj().swapaxes(-1, -2)
+    with np.errstate(over="ignore"):
+        out = np.add(matrix, mirror, order="C", dtype=np.result_type(matrix, 0.5))
+    halves = out.view(out.real.dtype)
+    halves *= 0.5
+    if not np.isfinite(halves).all():
+        redo = ~np.isfinite(out)
+        out[redo] = matrix[redo] / 2.0 + mirror[redo] / 2.0
     return out
 
 
@@ -150,13 +158,24 @@ class DensityOperator(HermitianOperator):
         _density_rule(float(np.trace(m).real), lambda: float(_eigvalsh(m)[0]))
 
 
-def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
-    """A DensityOperator of Hermitian ``entries``, judged on their given trace and spectrum."""
-    _density_rule(trace, lambda: smallest)
+def _computed(entries: np.ndarray, cls: type[HermitianOperator]) -> HermitianOperator:
+    """A ``cls`` of finite, exactly Hermitian ``entries`` the package computed, read-only."""
     entries.setflags(write=False)
-    state = object.__new__(DensityOperator)
-    object.__setattr__(state, "entries", entries)
-    return state
+    operator = object.__new__(cls)
+    object.__setattr__(operator, "entries", entries)
+    return operator
+
+
+def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
+    """A DensityOperator of computed ``entries``, judged on their given trace and spectrum."""
+    _density_rule(trace, lambda: smallest)
+    return _computed(entries, DensityOperator)
+
+
+def _density(entries: np.ndarray) -> DensityOperator:
+    """A DensityOperator of computed ``entries``, judged on their trace and then eigvalsh."""
+    _density_rule(float(np.trace(entries).real), lambda: float(_eigvalsh(entries)[0]))
+    return _computed(entries, DensityOperator)
 
 
 def make_hermitian(raw) -> HermitianOperator:
@@ -209,7 +228,7 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
         out = hermitian_part((v * values) @ v.conj().T)
     if not np.isfinite(out).all():
         raise Overflow(f"{f} of a spectrum up to {w[0]:.6g} is not finite in double precision")
-    return HermitianOperator(out)
+    return _computed(out, HermitianOperator)
 
 
 def _weights(start: DensityOperator, v: np.ndarray) -> np.ndarray:
@@ -217,15 +236,15 @@ def _weights(start: DensityOperator, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk,ki->i", v.conj().T, start.entries, v).real
 
 
-def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> DensityOperator:
+def _tilt(
+    start: DensityOperator, w: np.ndarray, v: np.ndarray, support: np.ndarray, lam: float
+) -> DensityOperator:
     """exp(-lam A/2) rho0 exp(-lam A/2), normalized; A given by its eigensystem (w, V).
 
-    Only eigenvectors on the support of rho0 (weight above ``SUPPORT_FLOOR``)
-    keep their factor, and the exponent is shifted by its maximum over them, so
-    only a non-finite exponent can make the normalization non-finite or zero,
-    which raises Overflow.
+    Only eigenvectors on the support of rho0 (``support``: weight above ``SUPPORT_FLOOR``)
+    keep their factor, and the exponent is shifted by its maximum over them, so only a
+    non-finite exponent can make the normalization non-finite or zero, which raises Overflow.
     """
-    support = _weights(start, v) > SUPPORT_FLOOR
     with np.errstate(over="ignore", invalid="ignore"):
         expo = -0.5 * lam * w[support]
         factors = np.zeros(w.shape)
@@ -235,17 +254,19 @@ def _tilt(start: DensityOperator, w: np.ndarray, v: np.ndarray, lam: float) -> D
         trace = float(np.trace(out).real)
     if not np.isfinite(trace) or trace <= 0.0:
         raise Overflow(f"tilt at lam {lam!r} is not representable: normalization {trace!r}")
-    return DensityOperator(hermitian_part(out) / trace)
+    return _density(hermitian_part(out) / trace)
 
 
 def _tilt_support(
     start: DensityOperator, observable: HermitianOperator, target: float, tol: float, role: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The set-up both tilt routes share: (w, V) of A, and A's eigenvalues on the support.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The set-up both tilt routes share: (w, V) of A, its support mask, and A's eigenvalues
+    on the support.
 
     Checks the dimensions and that ``target`` is finite, diagonalizes A once,
-    and returns (w, V, a_s, d_s): the eigensystem, the eigenvalues of A on the
-    support of ``start`` and the weights ``start`` gives them.  Tilting keeps the
+    and returns (w, V, support, a_s, d_s): the eigensystem, the mask of A's eigenvectors on
+    the support of ``start`` (weight above ``SUPPORT_FLOOR``), which ``_tilt`` takes, and the
+    eigenvalues of A there and the weights ``start`` gives them.  Tilting keeps the
     mean strictly inside the interval a_s spans, so a target outside it raises
     Infeasible.  Returns None when A is constant on the support and ``target``
     already equals that constant.  ``role`` names the state in error messages.
@@ -254,7 +275,7 @@ def _tilt_support(
     if not np.isfinite(target):
         raise InputValidationError("target must be finite")
     w, v = eig_hermitian(observable)
-    d = np.maximum(_weights(start, v), 0.0)
+    d = _weights(start, v)
     support = d > SUPPORT_FLOOR
     a_s = w[support]
     lo, hi = float(a_s.min()), float(a_s.max())
@@ -270,7 +291,7 @@ def _tilt_support(
         raise Infeasible(
             f"target {target!r} outside the open achievable interval ({lo!r}, {hi!r})"
         )
-    return w, v, a_s, d[support]
+    return w, v, support, a_s, d[support]
 
 
 def _common_dim(*operators, dim: int | None = None) -> int:

@@ -231,9 +231,12 @@ def test_c09_flow_correctness():
         a = rand_hermitian_radius(rng, n, 5.0)
         rho0 = rand_density(rng, n, min_eig=0.1 / n)
         exact = closed_form_flow(rho0, a, 1.0)
-        e_coarse = trace_distance(integrate_flow(rho0, a, 1.0, 1e-3).samples[-1].state, exact)
-        e_fine = trace_distance(integrate_flow(rho0, a, 1.0, 5e-4).samples[-1].state, exact)
-        worst_err = max(worst_err, e_coarse)
+        e_accuracy, e_coarse, e_fine = (
+            trace_distance(integrate_flow(rho0, a, 1.0, step).samples[-1].state, exact)
+            for step in (1e-3, 4e-3, 2e-3)
+        )
+        worst_err = max(worst_err, e_accuracy)
+        # the order is judged where the errors lie far above rounding: ~1e-12 at step 2e-3
         ratios.append(e_coarse / e_fine)
     ratios = np.array(ratios)
 

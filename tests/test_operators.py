@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import copysign
+
 import numpy as np
 import pytest
 
 import qmaxent as qm
+import qmaxent.documents
 from qmaxent import (
     ConvergenceFailure,
     DimMismatch,
@@ -51,23 +55,32 @@ class TestMakeHermitian:
             assert np.array_equal(make_hermitian(raw).entries, raw)
 
     def test_halved_sum_otherwise(self, rng):
-        # entries unequal to their mirror's conjugate are halved first, bit for bit; so
-        # is every entry of a matrix without parts below twice the smallest normal
+        # every part is the exactly rounded average of itself and its mirror's conjugate's,
+        # bit for bit; a zero average keeps the sign of their IEEE sum
         def same_bits(x, y):
             """Entrywise: both parts of x and y have the same bits, signs of zero included."""
             bits = (m.view(np.int64).reshape(*m.shape, 2) for m in (x, y))
             return np.equal(*bits).all(axis=-1)
 
+        def exact_average(raw):
+            mirror, out = raw.conj().T, np.empty(raw.shape, complex)
+            for idx in np.ndindex(raw.shape):
+                parts = []
+                for x, y in ((raw[idx].real, mirror[idx].real), (raw[idx].imag, mirror[idx].imag)):
+                    x, y = float(x), float(y)
+                    parts.append(float((Fraction(x) + Fraction(y)) / 2) or copysign(0.0, x + y))
+                out[idx] = complex(*parts)
+            return out
+
         values = np.array([0.0, -0.0, 5e-324, 1e-323, 0.5, -1.25, 1.5e308, -1.7e308])
         for _ in range(200):
             n = int(rng.integers(1, 5))
             raw = rng.choice(values, (n, n)) + 1j * rng.choice(values, (n, n))
-            same = same_bits(hermitian_part(raw), raw / 2.0 + raw.conj().T / 2.0)
-            assert same[raw != raw.conj().T].all()
+            assert same_bits(hermitian_part(raw), exact_average(raw)).all()
         x, y = (rand_hermitian(rng, 6).entries for _ in range(2))
         for raw in (x.copy(), x @ y):
             raw[0, 0], raw[1, 2], raw[2, 1] = -0.0, complex(-0.0, -0.0), complex(-0.0, 0.0)
-            assert same_bits(hermitian_part(raw), raw / 2.0 + raw.conj().T / 2.0).all()
+            assert same_bits(hermitian_part(raw), exact_average(raw)).all()
 
     def test_stack_gives_each_matrix_bit_for_bit(self, rng):
         # subnormal mirror entries such as 5e-324 keep their exact-mirror rule in a stack
@@ -374,3 +387,64 @@ def test_eigensolver_failure_is_typed(monkeypatch, routine, solver):
     monkeypatch.setattr(np.linalg, solver, fail)
     with pytest.raises(ConvergenceFailure, match="eigendecomposition failed"):
         routine()
+
+
+@pytest.fixture
+def hermitian_calls(monkeypatch) -> list:
+    """One entry per call of the Hermiticity rule, operators._hermitian, wherever it is bound."""
+    calls = []
+    rule = qm.operators._hermitian
+    for module in (qm.operators, qm.documents):
+        monkeypatch.setattr(module, "_hermitian", lambda *args: calls.append(args) or rule(*args))
+    return calls
+
+
+_RNG = np.random.default_rng(23)
+_RHO4 = rand_density(_RNG, 4, min_eig=0.05)
+_B4, _C4 = rand_hermitian(_RNG, 4), rand_hermitian(_RNG, 4)
+_TANGENT = qm.TangentDecomposition(dp=[0.1, -0.1, 0.05, -0.05], dtheta=0.3, h=_C4)
+_TARGET = qm.expectation(qm.closed_form_flow(_RHO4, _B4, 0.7), _B4)
+
+COMPUTED = {
+    "raise_form": lambda: qm.raise_form(_RHO4, _B4),
+    "lower_vector": lambda: qm.lower_vector(_RHO4, _B4),
+    "zero_mean_form": lambda: qm.zero_mean_form(_RHO4, _B4),
+    "assemble_tangent": lambda: qm.assemble_tangent(_RHO4, _TANGENT),
+    "flow_field": lambda: qm.flow_field(_RHO4, _B4),
+    "apply_spectral_function": lambda: apply_spectral_function(_B4, "exp"),
+    "closed_form_flow": lambda: qm.closed_form_flow(_RHO4, _B4, 0.7),
+    "flow_to_constraint": lambda: qm.flow_to_constraint(_RHO4, _B4, _TARGET),
+    "solve_prior_tilt": lambda: qm.solve_prior_tilt(_RHO4, _B4, _TARGET),
+    "gibbs_state": lambda: qm.gibbs_state([0.3, -0.2], (_B4, _C4)),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(COMPUTED))
+def test_computed_operators_are_wrapped_not_rejudged(routine, hermitian_calls):
+    result = COMPUTED[routine]()
+    state = result[1] if isinstance(result, tuple) else result
+    assert hermitian_calls == []
+    assert not state.entries.flags.writeable
+    assert np.array_equal(state.entries, state.entries.conj().T)  # exactly Hermitian
+
+
+_RAW = np.array([[0.75, 0.25 + 0.1j], [0.25 - 0.1j, 0.25]])
+_DOCUMENT = {"dim": 2, "re": _RAW.real.tolist(), "im": _RAW.imag.tolist()}
+OUTSIDE = {
+    "make_hermitian": lambda: make_hermitian(_RAW),
+    "make_density": lambda: make_density(_RAW),
+    "operator_from_document": lambda: qm.documents.operator_from_document(_DOCUMENT),
+    "density_from_document": lambda: qm.documents.density_from_document(_DOCUMENT),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(OUTSIDE))
+def test_outside_input_judged_once(routine, hermitian_calls):
+    OUTSIDE[routine]()
+    assert len(hermitian_calls) == 1
+
+
+def test_gibbs_state_certified_by_its_own_spectrum(eig_calls):
+    state = qm.gibbs_state([0.3, -0.2], (_B4, _C4))
+    assert eig_calls == {"eigh": 1}
+    assert abs(np.trace(state.entries).real - 1.0) <= 1e-14
