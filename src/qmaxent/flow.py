@@ -11,16 +11,20 @@ whose solution through rho0 has the closed symmetric-exponential form
     rho(lam) = exp(-lam A / 2) rho0 exp(-lam A / 2) / tr(exp(-lam A) rho0).
 
 This module provides the vector field, a fixed-step classical 4th-order
-integrator in A's eigenbasis that checks and records its iterates a block of
-steps at a time, with one batched spectrum per block (the closed form is its
-exact oracle, so it deliberately stays simple: no adaptivity, no trace
-renormalization), the closed form itself, and bracketed root-finding
-(Illinois regula falsi) along the closed form to hit a target expectation value.
+integrator in A's eigenbasis (the closed form is its exact oracle, so it
+deliberately stays simple: no adaptivity, no trace renormalization), the closed
+form itself, and bracketed root-finding (Illinois regula falsi) along the closed
+form to hit a target expectation value.  In A's eigenbasis an RK4 step multiplies
+every entry y_ij by a real factor F((a_i + a_j)/2) whose four stage means read the
+diagonal alone, so the integrator steps the diagonal as Python floats, forms a
+block of iterates with one factor product, and certifies the block positive by one
+batched Cholesky factorization, with a batched spectrum only where that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .errors import (
     StepInvalid,
 )
 from .operators import (
+    POSITIVITY_TOL,
     SUPPORT_FLOOR,
     DensityOperator,
     HermitianOperator,
@@ -91,6 +96,62 @@ def flow_field(state: DensityOperator, observable: HermitianOperator) -> Hermiti
     return _computed(-raised.entries, HermitianOperator)
 
 
+def _factor(x: np.ndarray, h, m1, m2, m3, m4) -> np.ndarray:
+    """The RK4 factor F(x) at x = (a_i + a_j)/2 of steps h with stage means m1..m4.
+
+    Stage s is k_s = (m_s - x) y_s with y_1 = y, y_2 = y + (h/2) k_1, ..., so k_s = t_s y
+    with t_1 = m_1 - x, t_2 = (m_2 - x)(1 + (h/2) t_1), t_3 = (m_3 - x)(1 + (h/2) t_2),
+    t_4 = (m_4 - x)(1 + h t_3), and the step multiplies y by 1 + (h/6)(t_1 + 2(t_2 + t_3) + t_4).
+    """
+    t1 = m1 - x
+    t2 = (m2 - x) * (1.0 + h / 2.0 * t1)
+    t3 = (m3 - x) * (1.0 + h / 2.0 * t2)
+    t4 = (m4 - x) * (1.0 + h * t3)
+    return 1.0 + h / 6.0 * (t1 + 2.0 * (t2 + t3) + t4)
+
+
+def _diagonal_step(d: list, spectrum: list, midpoints: list, h: float) -> tuple[tuple, list]:
+    """One RK4 step of y's diagonal d, as Python floats: the stage means, m_1 = sum_i a_i d_i
+    and m_s = sum_i a_i d_i (1 + c_s t_(s-1)(x_i)) with c_s = h/2, h/2, h, then the next
+    diagonal d_i F(x_i) at the ``midpoints`` x_i = (a_i + a_i)/2, in ``_factor``'s expression
+    tree, so that it is the stepped y's diagonal bit for bit."""
+    half, sixth = h / 2.0, h / 6.0
+    weighted = list(map(mul, spectrum, d))
+    m1 = sum(weighted)
+    g2 = [1.0 + half * (m1 - x) for x in midpoints]
+    m2 = sum(map(mul, weighted, g2))
+    g3 = [1.0 + half * ((m2 - x) * g) for x, g in zip(midpoints, g2)]
+    m3 = sum(map(mul, weighted, g3))
+    g4 = [1.0 + h * ((m3 - x) * g) for x, g in zip(midpoints, g3)]
+    m4 = sum(map(mul, weighted, g4))
+    step = [
+        e * (1.0 + sixth * ((m1 - x) + 2.0 * ((m2 - x) * p + (m3 - x) * q) + (m4 - x) * r))
+        for e, x, p, q, r in zip(d, midpoints, g2, g3, g4)
+    ]
+    return (m1, m2, m3, m4), step
+
+
+def _smallest_eigenvalues(ys: np.ndarray) -> np.ndarray:
+    """Each iterate's smallest eigenvalue, or -POSITIVITY_TOL/2 for all of them when one
+    batched Cholesky factorization certifies the block.
+
+    Cholesky of M = y + (POSITIVITY_TOL/2) I runs to completion only if M + E is positive
+    definite for some ||E||_2 within about n^2 eps tr(M) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3).  Where that is at most an eighth of the shift,
+    no y has an eigenvalue below -(9/8) POSITIVITY_TOL/2, so -POSITIVITY_TOL/2 passes every
+    check that the spectrum would.  Otherwise, or when the factorization fails, eigvalsh.
+    """
+    n, shift = ys.shape[-1], POSITIVITY_TOL / 2.0
+    traces = ys.trace(axis1=1, axis2=2).real + n * shift
+    if len(ys) and n * n * np.finfo(float).eps * float(traces.max()) <= shift / 8.0:
+        try:
+            np.linalg.cholesky(ys + shift * np.eye(n))
+            return np.full(len(ys), -shift)
+        except np.linalg.LinAlgError:
+            pass
+    return _eigvalsh(ys)[:, 0]
+
+
 def integrate_flow(
     start: DensityOperator,
     observable: HermitianOperator,
@@ -101,18 +162,26 @@ def integrate_flow(
 
     Classical 4th-order Runge-Kutta on y = V† rho V, A = V diag(a) V† diagonalized once:
     the matrix-form scheme up to rounding, as Runge-Kutta commutes with a fixed change of
-    basis.  Each stage is elementwise, (sum_k a_k y_kk - (a_i + a_j)/2) y_ij, so y stays
-    exactly Hermitian.  A negative ``lambda_end`` integrates in the opposite direction; the
-    trace is never renormalized, so its drift measures integrator error.  A ``step`` giving
-    more than ``MAX_STEPS`` (10^6) steps to ``lambda_end`` raises StepInvalid.
+    basis.  Each stage is elementwise, (sum_k a_k y_kk - (a_i + a_j)/2) y_ij, so a step
+    multiplies y by a real symmetric factor (``_factor``) and y stays exactly Hermitian.
+    Its four stage means read only the diagonal, which Python floats step ahead.  The
+    spectrum is centred, a - (a_max + a_min)/2: the same scheme while every stage keeps
+    trace one, but the trace's rounding no longer grows like exp(<A> lam), so the iterates
+    do not depend on an offset c I added to A.  A negative ``lambda_end`` integrates in the
+    opposite direction; the trace is never renormalized, so its drift measures integrator
+    error.  A ``step`` giving more than ``MAX_STEPS`` (10^6) steps to ``lambda_end`` raises
+    StepInvalid.
 
-    The iterates of each block of ``FLOW_BLOCK`` (64) steps, fewer for n > 32, are checked
-    and recorded together: one finiteness test, one batched spectrum of the finite ones, and
-    one V y V† for the recorded ones.  A step too coarse raises PositivityLoss at the first
-    failing step, whose checks run in this order: a non-finite iterate, an eigenvalue of y
-    below -1e-8, or at a recorded step a state V y V† failing the density rule on that
-    spectrum and trace sum_i y_ii, whose failed invariant it names.  About every
-    ceil(n_steps/1000)-th step is recorded, plus the endpoint, with mean sum_i a_i y_ii.
+    The iterates of each block of ``FLOW_BLOCK`` (64) steps, fewer for n > 32, are formed
+    by one running product of the block's factors, and checked and recorded together: one
+    finiteness test, one batched Cholesky factorization of the finite ones shifted by
+    POSITIVITY_TOL/2 (``_smallest_eigenvalues``), whose success certifies every check
+    below, else one batched spectrum, and one V y V† for the recorded ones.  A step too
+    coarse raises PositivityLoss at the first failing step, whose checks run in this order:
+    a non-finite iterate, an eigenvalue of y below -1e-8, or at a recorded step a state
+    V y V† failing the density rule on that spectrum and trace sum_i y_ii, whose failed
+    invariant it names.  About every ceil(n_steps/1000)-th step is recorded, plus the
+    endpoint, with mean sum_i a_i y_ii.
     """
     _common_dim(start, observable)
     if not (np.isfinite(step) and step > 0.0):
@@ -130,35 +199,35 @@ def integrate_flow(
 
     a, v = _eigh(observable.entries)
     vh = v.conj().T
-    pair = (a[:, None] / 2.0 + a[None, :] / 2.0).astype(np.complex128)  # complex: no casts
-    sums = np.stack([np.ones_like(a), a])  # a diagonal's trace and mean
-
-    def rhs(m: np.ndarray) -> np.ndarray:
-        # a Python float: a numpy scalar minus an array takes numpy's slow path
-        return (float(m.diagonal().real @ a) - pair) * m
+    # A - c I with c the middle of A's spectrum: the same flow, but the stage means, and so
+    # the growth of the trace's rounding, stay within half the spectrum's spread
+    centred = a - (a[-1] / 2.0 + a[0] / 2.0)
+    pair = centred[:, None] / 2.0 + centred[None, :] / 2.0
+    values, spectrum, midpoints = a.tolist(), centred.tolist(), pair.diagonal().tolist()
 
     n = len(a)  # a block of iterates holds at most 2^16 complex entries, 1 MiB
-    block = np.empty((max(1, min(FLOW_BLOCK, 2**16 // (n * n), n_steps)), n, n), np.complex128)
-    y = hermitian_part(vh @ start.entries @ v)
+    size = max(1, min(FLOW_BLOCK, 2**16 // (n * n), n_steps))
+    chain = np.empty((size + 1, n, n), np.complex128)  # an iterate, then each step's factor
+    chain[0] = hermitian_part(vh @ start.entries @ v)
+    d = chain[0].diagonal().real.tolist()
     samples = [FlowSample(0.0, start, expectation(start, observable))]
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
-        for first in range(1, n_steps + 1, len(block)):
-            lams = []
-            for i, k in enumerate(range(first, min(first + len(block), n_steps + 1))):
+        for first in range(1, n_steps + 1, size):
+            lams, stages, diagonals = [], [], []
+            for k in range(first, min(first + size, n_steps + 1)):
                 lam = sign * min(k * step, length)
                 h = lam - sign * min((k - 1) * step, length)
-                k1 = rhs(y)
-                k2 = rhs(y + (h / 2.0) * k1)
-                k3 = rhs(y + (h / 2.0) * k2)
-                k4 = rhs(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-                block[i] = y
+                means, d = _diagonal_step(d, spectrum, midpoints, h)
+                stages.append((h, *means))
+                diagonals.append(d)
                 lams.append(lam)
-            ys = block[: len(lams)]
+            count = len(lams)
+            chain[1 : count + 1] = _factor(pair, *np.array(stages).T[..., None, None])
+            ys = np.multiply.accumulate(chain[: count + 1], out=chain[: count + 1])[1:]
             # the first failing step, in step order: not finite, then a negative eigenvalue
             finite = np.isfinite(ys).all(axis=(1, 2))
-            stop = infinite = len(lams) if finite.all() else int(np.argmin(finite))
-            lows = _eigvalsh(ys[:infinite])[:, 0]
+            stop = infinite = count if finite.all() else int(np.argmin(finite))
+            lows = _smallest_eigenvalues(ys[:infinite])
             if (negative := np.flatnonzero(lows < -POSITIVITY_LOSS_TOL)).size:
                 stop = int(negative[0])
             recorded = [
@@ -166,7 +235,7 @@ def integrate_flow(
             ]
             states = hermitian_part(v @ ys[recorded] @ vh)
             for i, entries in zip(recorded, states):
-                trace, mean = (sums @ ys[i].diagonal().real).tolist()
+                trace, mean = sum(diagonals[i]), sum(map(mul, values, diagonals[i]))
                 try:
                     state = _measured_density(entries, trace, float(lows[i]))
                 except InputValidationError as exc:
@@ -178,9 +247,10 @@ def integrate_flow(
             if stop < infinite:
                 low, lam = float(lows[stop]), lams[stop]
                 raise PositivityLoss(f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step")
-            if infinite < len(lams):
+            if infinite < count:
                 lam = lams[infinite]
                 raise PositivityLoss(f"state at lambda {lam:.6g} is not finite; reduce the step")
+            chain[0] = ys[-1]
     return FlowTrajectory(observable=observable, samples=tuple(samples), step=float(step))
 
 

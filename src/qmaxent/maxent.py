@@ -58,6 +58,7 @@ their spread, while the target is met in the caller's units.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,33 +145,67 @@ class ConstraintSet:
             raise DimMismatch("dimension required when no observables are given")
         dim = _common_dim(*observables, dim=self.dim)
         coords = _coordinates(observables, dim)
-        off = _split(coords)[1]  # tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
-            squares = np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
-            uncertain = self._uncertain(coords, targets, squares)
-        boundary = None
-        for k in uncertain:
-            t, w = targets[k], _eigvalsh(observables[k].entries)
-            span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
-            if not (w[0] <= t <= w[-1]):
-                raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
-            if boundary is None and not (w[0] < t < w[-1]):
-                boundary = (
-                    f"target {float(t)!r} on the boundary of the spectral range {span}; "
-                    "the multiplier would diverge"
-                )
+        squares = self._squares(coords)
+        boundaries = self._judge(observables, coords, targets, squares)
         precond = self._check_independent(coords, dim, squares, observables)
         coords.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
-        # the first boundary target's refusal, raised by solve_maxent
-        object.__setattr__(self, "_boundary", boundary)
+        # each boundary target's refusal by index, ascending; solve_maxent raises the first
+        object.__setattr__(self, "_boundaries", boundaries)
         # the observables' (m, n^2) coordinates and n Gram^-1 of their traceless parts,
         # (m, m), both empty when m = 0, for dual_objective and solve_maxent
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_precond", precond)
+
+    @property
+    def _boundary(self) -> str | None:
+        """The first boundary target's refusal, or None."""
+        return next(iter(self._boundaries.values()), None)
+
+    @staticmethod
+    def _squares(coords: np.ndarray) -> np.ndarray:
+        """Each row's ||A_k||_F^2: tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off."""
+        off = _split(coords)[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
+            return np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
+
+    @staticmethod
+    def _judge(observables, coords, targets, squares) -> dict[int, str]:
+        """The refusals of the boundary targets by index, after Infeasible for the first
+        target outside its observable's spectral range, by the ladder of certificates."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            uncertain = ConstraintSet._uncertain(coords, targets, squares)
+        boundaries = {}
+        for k in uncertain:
+            t, w = targets[k], _eigvalsh(observables[k].entries)
+            span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
+            if not (w[0] <= t <= w[-1]):
+                raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
+            if not (w[0] < t < w[-1]):
+                boundaries[int(k)] = (
+                    f"target {float(t)!r} on the boundary of the spectral range {span}; "
+                    "the multiplier would diverge"
+                )
+        return boundaries
+
+    def _moved(self, j: int, target: float) -> ConstraintSet:
+        """This set with target j moved to ``target``, judged on that target alone: the
+        observables, their coordinates and preconditioner are this set's."""
+        targets = self.targets.copy()
+        targets[j] = target
+        targets.setflags(write=False)
+        rows = slice(j, j + 1)
+        row = self._coords[rows]
+        moved = self._judge(self.observables[rows], row, targets[rows], self._squares(row))
+        boundaries = {k: message for k, message in self._boundaries.items() if k != j}
+        boundaries.update((j, message) for message in moved.values())
+        shifted = copy.copy(self)
+        object.__setattr__(shifted, "targets", targets)
+        object.__setattr__(shifted, "_boundaries", dict(sorted(boundaries.items())))
+        return shifted
 
     @staticmethod
     def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -463,18 +498,18 @@ def entropy_sensitivity(
 
     At the optimum the partial derivative of the achieved maximal entropy
     with respect to target j equals the solved multiplier lam_j, so this is
-    a solver consistency check.  Solver errors at the perturbed targets
-    propagate unchanged.
+    a solver consistency check.  Each perturbed set keeps the observables' coordinates and
+    preconditioner and judges only the moved target, so solver errors at the perturbed
+    targets, and the refusal of a target moved past its observable's spectral range, are a
+    fresh ``ConstraintSet``'s.
     """
     _check_controls(tol, max_iter)
     out = np.zeros(constraints.m)
     for j in range(constraints.m):
         values = []
         for sign in (1.0, -1.0):
-            shifted = constraints.targets.copy()
-            shifted[j] += sign * SENSITIVITY_STEP
-            shifted_set = ConstraintSet(constraints.observables, shifted, dim=constraints.dim)
-            values.append(solve_maxent(shifted_set, tol=tol, max_iter=max_iter).s_max)
+            shifted = constraints._moved(j, constraints.targets[j] + sign * SENSITIVITY_STEP)
+            values.append(solve_maxent(shifted, tol=tol, max_iter=max_iter).s_max)
         out[j] = (values[0] - values[1]) / (2.0 * SENSITIVITY_STEP)
     return out
 

@@ -25,8 +25,8 @@ from qmaxent import (
     trace_distance,
     zero_mean_form,
 )
-from qmaxent.flow import FLOW_BLOCK
-from qmaxent.operators import _measured_density, _pairing
+from qmaxent.flow import FLOW_BLOCK, _diagonal_step, _factor, _smallest_eigenvalues
+from qmaxent.operators import POSITIVITY_TOL, _measured_density, _pairing
 
 from helpers import (
     SIGMA_X,
@@ -147,21 +147,33 @@ class TestIntegrateFlow:
         with pytest.raises(PositivityLoss, match="NotPositive"):
             integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
 
-    def test_one_spectrum_per_step(self, eig_calls, monkeypatch):
-        # one eigh of A sets up the eigenbasis; each step's one spectrum serves both the
-        # step's positivity check and a recorded state's validation, and one batched
-        # eigvalsh takes the spectra of a block of steps
-        counted, spectra = np.linalg.eigvalsh, []
+    def test_one_certificate_per_block(self, eig_calls, monkeypatch):
+        # one eigh of A sets up the eigenbasis; one batched Cholesky factorization certifies
+        # each block's iterates, both their positivity checks and the recorded states' density
+        # rule, so this flow takes no spectrum at all
+        counted, factored = np.linalg.cholesky, []
 
-        def eigvalsh(m):
-            spectra.append(int(np.prod(m.shape[:-2])))
+        def cholesky(m):
+            factored.append(int(np.prod(m.shape[:-2])))
             return counted(m)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         eig_calls.clear()
         integrate_flow(UNIFORM, SZ, 1.0, 1e-3)
-        assert eig_calls == {"eigh": 1, "eigvalsh": -(-1000 // FLOW_BLOCK)}
-        assert sum(spectra) == 1000
+        assert eig_calls == {"eigh": 1}
+        assert len(factored) == -(-1000 // FLOW_BLOCK) and sum(factored) == 1000
+
+    @pytest.mark.parametrize("offset", [10.0, -10.0, 100.0, 1e3, 1e6])
+    def test_invariant_to_identity_offsets(self, offset):
+        # A + c I moves the same flow: the states within 1e-12 in trace distance, the means
+        # by c; stepping with A as given let the trace's rounding grow like exp(<A> lam)
+        base = integrate_flow(UNIFORM, SZ, 1.0, 1e-3).samples
+        moved = integrate_flow(UNIFORM, make_hermitian(SIGMA_Z + offset * np.eye(2)), 1.0, 1e-3)
+        assert len(moved.samples) == len(base)
+        for got, want in zip(moved.samples, base):
+            assert got.lam == want.lam
+            assert trace_distance(got.state, want.state) <= 1e-12
+            assert abs(got.mean - (want.mean + offset)) <= 1e-12 * (1.0 + abs(offset))
 
     def test_sample_budget(self):
         traj = integrate_flow(UNIFORM, SZ, 2.0, 1e-3)
@@ -227,7 +239,7 @@ class TestMatrixFormReference:
     # a Runge-Kutta method commutes with a fixed change of basis, so integrating in A's
     # eigenbasis reproduces the matrix-form iterates up to rounding
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [1, *range(2, 9), 16, 32])
     def test_random_instances(self, rng, n):
         for lambda_end in (1.0, -1.0):
             a = rand_hermitian_radius(rng, n, 5.0)
@@ -248,52 +260,67 @@ class TestMatrixFormReference:
             assert_matches_matrix_form(rho, big, 1e-3 / scale, 1e-5 / scale)
 
 
-def per_step_flow(start, observable, lambda_end, step):
-    """integrate_flow's RK4 with each step checked on its own: (sample, failure) per step.
+def factor_steps(start, observable, lambda_end, step):
+    """integrate_flow's RK4 one step at a time, in numpy: (lam, y, diagonal) per step.
 
-    The same operations on y = V† rho V, then the checks in their order: not finite, an
-    eigenvalue below -1e-8, and at a recorded step the density rule.  A sample is
-    (lam, mean, state); a failure is integrate_flow's message.  Stepping goes on past a
-    failure, so a test can see the later ones too.
+    Each step multiplies y = V† rho V by the factor F at x = (a_i + a_j)/2 of A - c I, c the
+    middle of A's spectrum, with the four stage means sum_i a_i (y_s)_ii, y_s = y g_s, summed
+    in index order; ``diagonal`` is y's diagonal as Python floats.
     """
     length, sign = abs(lambda_end), (1.0 if lambda_end >= 0.0 else -1.0)
     ratio = length / step
     n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
-    every = max(1, int(np.ceil(n_steps / 1000)))
     a, v = np.linalg.eigh(observable.entries)
-    pair = (a[:, None] / 2.0 + a[None, :] / 2.0).astype(complex)
-    sums = np.stack([np.ones_like(a), a])
-
-    def rhs(m):
-        return (m.diagonal().real @ a - pair) * m
-
+    centred = a - (a[-1] / 2.0 + a[0] / 2.0)
+    x = centred[:, None] / 2.0 + centred[None, :] / 2.0
     y = hermitian_part(v.conj().T @ start.entries @ v)
-    steps = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
             lam = sign * min(k * step, length)
             h = lam - sign * min((k - 1) * step, length)
-            k1 = rhs(y)
-            k2 = rhs(y + (h / 2.0) * k1)
-            k3 = rhs(y + (h / 2.0) * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            sample = failure = None
-            if not np.isfinite(y).all():
-                failure = f"state at lambda {lam:.6g} is not finite; reduce the step"
-            elif (low := float(np.linalg.eigvalsh(y)[0])) < -1e-8:
-                failure = f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step"
-            elif k == n_steps or k % every == 0:
-                trace, mean = (sums @ y.diagonal().real).tolist()
-                try:
-                    state = _measured_density(hermitian_part(v @ y @ v.conj().T), trace, low)
-                    sample = (lam, mean, state)
-                except InputValidationError as exc:
-                    failure = (
-                        f"state at lambda {lam:.6g} is not a density operator "
-                        f"({type(exc).__name__}: {exc}); reduce the step"
-                    )
-            steps.append((sample, failure))
+            weighted = centred * y.diagonal().real
+            t1 = sum(weighted.tolist()) - x
+            g2 = 1.0 + h / 2.0 * t1
+            t2 = (sum((weighted * g2.diagonal()).tolist()) - x) * g2
+            g3 = 1.0 + h / 2.0 * t2
+            t3 = (sum((weighted * g3.diagonal()).tolist()) - x) * g3
+            g4 = 1.0 + h * t3
+            t4 = (sum((weighted * g4.diagonal()).tolist()) - x) * g4
+            y = y * (1.0 + h / 6.0 * (t1 + 2.0 * (t2 + t3) + t4))
+            yield lam, y, y.diagonal().real.tolist()
+
+
+def per_step_flow(start, observable, lambda_end, step):
+    """integrate_flow with each step checked on its own: (sample, failure) per step.
+
+    The steps of ``factor_steps``, then the checks in their order: not finite, an
+    eigenvalue below -1e-8, and at a recorded step the density rule on the trace and mean
+    of y's diagonal, summed in index order.  A sample is (lam, mean, state); a failure is
+    integrate_flow's message.  Stepping goes on past a failure, so a test can see the later
+    ones too.
+    """
+    ratio = abs(lambda_end) / step
+    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    every = max(1, int(np.ceil(n_steps / 1000)))
+    a, v = np.linalg.eigh(observable.entries)
+    steps = []
+    for k, (lam, y, diagonal) in enumerate(factor_steps(start, observable, lambda_end, step), 1):
+        sample = failure = None
+        if not np.isfinite(y).all():
+            failure = f"state at lambda {lam:.6g} is not finite; reduce the step"
+        elif (low := float(np.linalg.eigvalsh(y)[0])) < -1e-8:
+            failure = f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step"
+        elif k == n_steps or k % every == 0:
+            trace, mean = sum(diagonal), sum((a * diagonal).tolist())
+            try:
+                state = _measured_density(hermitian_part(v @ y @ v.conj().T), trace, low)
+                sample = (lam, mean, state)
+            except InputValidationError as exc:
+                failure = (
+                    f"state at lambda {lam:.6g} is not a density operator "
+                    f"({type(exc).__name__}: {exc}); reduce the step"
+                )
+        steps.append((sample, failure))
     return steps
 
 
@@ -342,8 +369,9 @@ class TestBlocks:
         [
             # an eigenvalue below -1e-8 at step 22, a non-finite iterate at step 26
             ([0.5, 0.5], [1.0, -1.0], 2.08),
-            # a recorded trace off by more than 1e-10 at step 14, non-finite at step 38
-            ([0.444, 0.556], [0.45, 0.52], 2.32),
+            # a recorded trace off by more than 1e-10 at step 5, an eigenvalue below -1e-8 at
+            # step 7: the trace's rounding grows while the mean sits at the top of the spectrum
+            ([3e-12, 0.999999999997], [-0.6, -0.03], 10.89),
         ],
     )
     def test_first_failing_step_in_a_block(self, weights, values, step):
@@ -365,6 +393,64 @@ class TestBlocks:
             with pytest.raises(PositivityLoss) as info:
                 integrate_flow(start, a, 128 * step, step)
         assert str(info.value) == steps[first][1]
+
+
+class TestFactorStep:
+    # a step multiplies y by a real symmetric factor whose stage means read y's diagonal,
+    # which Python floats step on their own
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_float_diagonal_is_the_iterates_diagonal(self, rng, n):
+        a = np.sort(rng.normal(size=n)) * 3.0
+        x = a[:, None] / 2.0 + a[None, :] / 2.0
+        y = hermitian_part(rand_density(rng, n).entries)
+        d = y.diagonal().real.tolist()
+        for h in rng.uniform(-0.2, 0.2, size=100):
+            means, d = _diagonal_step(d, a.tolist(), x.diagonal().tolist(), float(h))
+            y = y * _factor(x, float(h), *means)
+            assert y.diagonal().real.tolist() == d and not y.diagonal().imag.any()
+            assert (y == y.conj().T).all()
+
+    def test_certificate_is_sound(self, rng, eig_calls):
+        # blocks of iterates from near-pure starts and steps up to 0.2, some of them far
+        # from positive: a block that Cholesky certifies has no eigenvalue below
+        # -POSITIVITY_TOL, and every other block gets its spectrum from eigvalsh
+        certified = refused = 0
+        while certified + refused < 200:
+            n = int(rng.choice([1, 2, 3, 4, 6, 8, 16]))
+            a = rand_hermitian_radius(rng, n, float(rng.uniform(0.5, 5.0)))
+            psi = rand_density(rng, n).entries[:, 0]
+            mix = float(rng.choice([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+            pure = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+            start = make_density(hermitian_part((1.0 - mix) * pure + mix * np.eye(n) / n))
+            step = float(rng.uniform(1e-3, 0.2))
+            ys = []
+            for _, y, _ in factor_steps(start, a, 4 * FLOW_BLOCK * step, step):
+                if not np.isfinite(y).all():
+                    break
+                ys.append(y)
+            for first in range(0, len(ys), FLOW_BLOCK):
+                block = np.array(ys[first : first + FLOW_BLOCK])
+                lowest = np.linalg.eigvalsh(block)[:, 0]
+                eig_calls.clear()
+                lows = _smallest_eigenvalues(block)
+                if eig_calls["eigvalsh"]:
+                    refused += 1
+                    assert lows.tolist() == lowest.tolist()
+                else:
+                    certified += 1
+                    assert lowest.min() >= -POSITIVITY_TOL
+        assert certified >= 50 and refused >= 25
+
+    def test_certificate_within_its_backward_error_bound(self, rng, eig_calls):
+        # at trace 1e6 Cholesky's backward error could exceed the shift: eigvalsh decides
+        states = np.array([rand_density(rng, 4).entries for _ in range(3)])
+        eig_calls.clear()
+        assert (_smallest_eigenvalues(states) == -POSITIVITY_TOL / 2.0).all()
+        assert not eig_calls
+        lows = _smallest_eigenvalues(1e6 * states)
+        assert eig_calls == {"eigvalsh": 1}
+        assert lows.tolist() == np.linalg.eigvalsh(1e6 * states)[:, 0].tolist()
 
 
 class TestClosedForm:

@@ -707,6 +707,38 @@ class TestEntropySensitivity:
         assert np.abs((sens - sol.multipliers) / sol.multipliers).max() <= 1e-3
 
 
+    def test_observables_judged_once(self, rng, monkeypatch):
+        # the 2m shifted solves reuse the observables' coordinates and preconditioner and
+        # judge only the moved target, with the results of fresh constraint sets bit for bit
+        n, m = 4, 3
+        observables = [rand_hermitian(rng, n) for _ in range(m)]
+        state = rand_density(rng, n, min_eig=0.05)
+        cs = ConstraintSet(observables, [expectation(state, a) for a in observables])
+        expected = []
+        for j in range(m):
+            values = []
+            for sign in (1.0, -1.0):
+                shifted = cs.targets.copy()
+                shifted[j] += sign * 1e-4
+                values.append(solve_maxent(ConstraintSet(observables, shifted)).s_max)
+            expected.append((values[0] - values[1]) / 2e-4)
+        calls = []
+        check = ConstraintSet._check_independent
+        counted = staticmethod(lambda *args: calls.append(args) or check(*args))
+        monkeypatch.setattr(ConstraintSet, "_check_independent", counted)
+        assert entropy_sensitivity(cs).tolist() == expected
+        assert not calls
+
+    @pytest.mark.parametrize("target", [1.0 - 5e-5, 1.0 - 1e-4])
+    def test_shift_past_the_spectral_edge(self, target):
+        # past the edge (1.00005) and onto it (1.0 exactly): the refusal of a fresh set
+        with pytest.raises(Infeasible) as fresh:
+            solve_maxent(ConstraintSet((SZ,), np.array([target]) + 1e-4))
+        with pytest.raises(Infeasible) as moved:
+            entropy_sensitivity(ConstraintSet((SZ,), [target]))
+        assert str(moved.value) == str(fresh.value)
+
+
 class TestPriorTilt:
     def test_uniform_prior_reduces_to_gibbs(self):
         # tol bounds the mean, so lam only to about tol / var: solve well below 1e-10
