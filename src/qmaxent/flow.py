@@ -169,8 +169,8 @@ def integrate_flow(
     trace one, but the trace's rounding no longer grows like exp(<A> lam), so the iterates
     do not depend on an offset c I added to A.  A negative ``lambda_end`` integrates in the
     opposite direction; the trace is never renormalized, so its drift measures integrator
-    error.  A ``step`` giving more than ``MAX_STEPS`` (10^6) steps to ``lambda_end`` raises
-    StepInvalid.
+    error.  The last of ceil(|lambda_end| / step) steps, at least one for a nonzero
+    lambda_end, lands on it exactly; more than ``MAX_STEPS`` (10^6) raise StepInvalid.
 
     The iterates of each block of ``FLOW_BLOCK`` (64) steps, fewer for n > 32, are formed
     by one running product of the block's factors, and checked and recorded together: one
@@ -195,6 +195,7 @@ def integrate_flow(
     if not ratio <= MAX_STEPS:  # an infinite ratio too
         raise StepInvalid(f"step {step!r} needs > {MAX_STEPS} steps to lambda_end {lambda_end!r}")
     n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    n_steps = max(n_steps, int(length > 0.0))  # a nonzero lambda_end takes a step
     record_every = max(1, int(np.ceil(n_steps / MAX_STORED_SAMPLES)))
 
     a, v = _eigh(observable.entries)
@@ -215,7 +216,7 @@ def integrate_flow(
         for first in range(1, n_steps + 1, size):
             lams, stages, diagonals = [], [], []
             for k in range(first, min(first + size, n_steps + 1)):
-                lam = sign * min(k * step, length)
+                lam = sign * (length if k == n_steps else min(k * step, length))
                 h = lam - sign * min((k - 1) * step, length)
                 means, d = _diagonal_step(d, spectrum, midpoints, h)
                 stages.append((h, *means))

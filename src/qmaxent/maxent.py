@@ -36,8 +36,10 @@ interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 the rung before leaves outside its range or within 1e-10 ||A||_F (far above rounding
 and LAPACK's error) of its ends: the diagonal; the O(n) pairs of the smallest or
 largest diagonal entry; eigvalsh.  Each A_k is held as its n^2 real coordinates
-c(A_k) (``operators._pack``): sum_k x_k A_k is x . c(A) unpacked once, and
-tr(A_k Y) = c(A_k) . c(Y), Y's off-diagonal coordinates doubled.
+c(A_k), whose layout this module alone defines (``_layout``): the diagonal, then the
+real and imaginary parts of the strict upper triangle.  sum_k x_k A_k is x . c(A)
+unpacked once, tr(A_k Y) = c(A_k) . c(Y) with Y's off-diagonal coordinates doubled
+(``_dual``), and the first n coordinates sum to tr A_k.
 Exponents are shifted, so Overflow means that sum_k lam_k A_k, Z or the dual value
 is not finite.
 
@@ -60,6 +62,9 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -76,17 +81,12 @@ from .operators import (
     HermitianOperator,
     _check_controls,
     _common_dim,
-    _coordinates,
-    _dual,
     _eigh,
     _eigvalsh,
     _in_basis,
     _measured_density,
-    _pivot_bound,
-    _split,
     _tilt,
     _tilt_support,
-    _unpack,
     hermitian_part,
 )
 from .entropy import _entropy_of_spectrum
@@ -109,6 +109,62 @@ ARMIJO_SHRINK = 0.5
 SENSITIVITY_STEP = 1e-4
 
 
+# The n^2 real coordinates of an n x n Hermitian matrix are its diagonal, then the real and
+# the imaginary parts of its strict upper triangle, row by row; only this block knows that.
+@lru_cache(maxsize=16)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates' float64-view positions, and each float64's coordinate and sign by row."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = 2 * (rows * n + cols)
+    index = np.concatenate((2 * (n + 1) * np.arange(n), upper, upper + 1))
+    source, sign = np.zeros((n, n, 2), np.intp), np.zeros((n, n, 2))
+    source.reshape(-1)[index], sign.reshape(-1)[index] = np.arange(n * n), 1.0
+    source[cols, rows], sign[cols, rows] = source[rows, cols], (1.0, -1.0)
+    arrays = index, source.reshape(n, 2 * n), sign.reshape(n, 2 * n)
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+def _unpack(c: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix of coordinates ``c``, one signed gather; Im a_ii is +0.0."""
+    source, sign = _layout(isqrt(c.size))[1:]
+    out = c[source] * sign
+    out += 0.0  # -0.0 becomes +0.0, as in entries made by hermitian_part
+    return out.view(np.complex128)
+
+
+def _coordinates(operators, n: int) -> np.ndarray:
+    """The (m, n^2) coordinates of m Hermitian n x n operators, packed row by row in place."""
+    out, index = np.empty((len(operators), n * n)), _layout(n)[0]
+    for k, a in enumerate(operators):
+        a.entries.reshape(-1).view(np.float64).take(index, out=out[k], mode="clip")
+    return out
+
+
+def _dual(y: np.ndarray) -> np.ndarray:
+    """c(Y) with its off-diagonal coordinates doubled (exact): c(X) @ _dual(Y) = tr(X Y)."""
+    c = y.reshape(-1).view(np.float64)[_layout(len(y))[0]]
+    c[len(y) :] *= 2.0
+    return c
+
+
+def _pivot_bound(c: np.ndarray, least: bool) -> float:
+    """The least (or greatest) eigenvalue of the 2x2 principal submatrices that pair the
+    smallest (or largest) diagonal entry a_pp with each other index,
+    (a_pp + a_jj)/2 -+ sqrt(((a_pp - a_jj)/2)^2 + |a_pj|^2), and a_pp itself: by Cauchy
+    interlacing a bound on A's least (or greatest) eigenvalue from only the 2(n - 1)
+    coordinates of the a_pj."""
+    n = isqrt(c.size)
+    d = c[:n]
+    p = d.argmin() if least else d.argmax()
+    part = c[_layout(n)[1][p]]  # Re a_pj, Im a_pj for each j; j = p reads a_pp and c_0
+    rad = np.hypot(np.hypot((d - d[p]) / 2.0, part[::2]), part[1::2])
+    rad[p] = 0.0  # j = p: the 1x1 submatrix a_pp
+    mid = (d + d[p]) / 2.0
+    return float((mid - rad).min()) if least else float((mid + rad).max())
+
+
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
     """Observables A_1..A_m with target expectation values t_1..t_m.
@@ -121,8 +177,8 @@ class ConstraintSet:
     are numerically independent (condition number of their correlation
     matrix at most 1e12, whatever their scales; one proportional to I fails);
     dependent constraints would make the multipliers non-unique and are
-    rejected rather than regularized.  ``dim`` may be given explicitly,
-    which is required when there are no observables at all.  A target on
+    rejected rather than regularized.  ``dim``, an integer of at least 1, may be given
+    explicitly, which is required when there are no observables at all.  A target on
     the boundary of its spectral range is accepted here and refused by
     ``solve_maxent``.  Every check and dual evaluation reads one read-only
     (m, n^2) float64 array of the observables' real coordinates.
@@ -136,82 +192,74 @@ class ConstraintSet:
         observables = tuple(self.observables)
         targets = np.atleast_1d(np.asarray(self.targets, dtype=np.float64)).copy()
         if targets.ndim != 1 or len(observables) != targets.size:
-            raise DimMismatch(
-                f"{len(observables)} observables but {targets.size} targets"
-            )
+            raise DimMismatch(f"{len(observables)} observables but targets shaped {targets.shape}")
         if targets.size and not np.isfinite(targets).all():
             raise InputValidationError("targets must be finite")
-        if self.dim is None and not observables:
-            raise DimMismatch("dimension required when no observables are given")
+        if self.dim is None:
+            if not observables:
+                raise DimMismatch("dimension required when no observables are given")
+        elif isinstance(self.dim, bool) or not isinstance(self.dim, Integral) or self.dim < 1:
+            raise DimMismatch(f"dim must be an integer of at least 1, got {self.dim!r}")
         dim = _common_dim(*observables, dim=self.dim)
         coords = _coordinates(observables, dim)
-        squares = self._squares(coords)
-        boundaries = self._judge(observables, coords, targets, squares)
+        squares = self._squares(coords, dim)
+        boundary = self._judge(observables, coords, targets, squares)
         precond = self._check_independent(coords, dim, squares, observables)
         coords.setflags(write=False)
         targets.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
-        # each boundary target's refusal by index, ascending; solve_maxent raises the first
-        object.__setattr__(self, "_boundaries", boundaries)
+        object.__setattr__(self, "_boundary", boundary)  # solve_maxent raises it unless None
         # the observables' (m, n^2) coordinates and n Gram^-1 of their traceless parts,
         # (m, m), both empty when m = 0, for dual_objective and solve_maxent
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_precond", precond)
 
-    @property
-    def _boundary(self) -> str | None:
-        """The first boundary target's refusal, or None."""
-        return next(iter(self._boundaries.values()), None)
-
     @staticmethod
-    def _squares(coords: np.ndarray) -> np.ndarray:
+    def _squares(coords: np.ndarray, n: int) -> np.ndarray:
         """Each row's ||A_k||_F^2: tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off."""
-        off = _split(coords)[1]
+        off = coords[:, n:]
         with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
             return np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
 
     @staticmethod
-    def _judge(observables, coords, targets, squares) -> dict[int, str]:
-        """The refusals of the boundary targets by index, after Infeasible for the first
+    def _judge(observables, coords, targets, squares) -> str | None:
+        """The first boundary target's refusal, or None, after Infeasible for the first
         target outside its observable's spectral range, by the ladder of certificates."""
         with np.errstate(over="ignore", invalid="ignore"):
             uncertain = ConstraintSet._uncertain(coords, targets, squares)
-        boundaries = {}
+        boundary = None
         for k in uncertain:
             t, w = targets[k], _eigvalsh(observables[k].entries)
             span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
             if not (w[0] <= t <= w[-1]):
                 raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
-            if not (w[0] < t < w[-1]):
-                boundaries[int(k)] = (
+            if boundary is None and not (w[0] < t < w[-1]):
+                boundary = (
                     f"target {float(t)!r} on the boundary of the spectral range {span}; "
                     "the multiplier would diverge"
                 )
-        return boundaries
+        return boundary
 
     def _moved(self, j: int, target: float) -> ConstraintSet:
-        """This set with target j moved to ``target``, judged on that target alone: the
+        """This set with target j moved to ``target`` and its targets judged again: the
         observables, their coordinates and preconditioner are this set's."""
         targets = self.targets.copy()
         targets[j] = target
         targets.setflags(write=False)
-        rows = slice(j, j + 1)
-        row = self._coords[rows]
-        moved = self._judge(self.observables[rows], row, targets[rows], self._squares(row))
-        boundaries = {k: message for k, message in self._boundaries.items() if k != j}
-        boundaries.update((j, message) for message in moved.values())
+        squares = self._squares(self._coords, self.dim)
+        boundary = self._judge(self.observables, self._coords, targets, squares)
         shifted = copy.copy(self)
         object.__setattr__(shifted, "targets", targets)
-        object.__setattr__(shifted, "_boundaries", dict(sorted(boundaries.items())))
+        object.__setattr__(shifted, "_boundary", boundary)
         return shifted
 
     @staticmethod
     def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
         """Indices of the targets that the diagonal and the pivot pairs leave undecided."""
         margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
-        diag = _split(coords)[0]
+        diag = coords[:, : isqrt(coords.shape[1])]
         lo, hi = diag.min(axis=1), diag.max(axis=1)
         for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
             c, t, e = coords[k], targets[k], margin[k]
@@ -234,7 +282,7 @@ class ConstraintSet:
         scales = np.ones(len(coords))
         scales[extreme] = np.abs(coords[extreme]).max(axis=1, initial=np.finfo(float).tiny)
         coords[extreme] /= scales[extreme, None]
-        diag, off = _split(coords)
+        diag, off = coords[:, :dim], coords[:, dim:]
         centered = diag - diag.mean(axis=1, keepdims=True)
         inner = off @ off.T  # tr(B_k B_l): diagonals centered, off-diagonals counted twice
         inner *= 2.0
@@ -438,7 +486,7 @@ def solve_maxent(
     # lam = 0 in closed form: state I/n, log Z = log n, <A_k> = tr A_k / n, Hessian precond^-1
     lam, precond, iterations = np.zeros(constraints.m), constraints._precond, 0
     value = log_z = float(np.log(n))
-    gradient = targets - _split(coords)[0].sum(axis=1) / n
+    gradient = targets - coords[:, :n].sum(axis=1) / n
     state, eig = (np.eye(n) / n).astype(complex), (np.zeros(n), None, np.full(n, 1.0 / n))
     residual = float(abs(gradient).max(initial=0.0))
     while not residual <= tol:
@@ -499,8 +547,8 @@ def entropy_sensitivity(
     At the optimum the partial derivative of the achieved maximal entropy
     with respect to target j equals the solved multiplier lam_j, so this is
     a solver consistency check.  Each perturbed set keeps the observables' coordinates and
-    preconditioner and judges only the moved target, so solver errors at the perturbed
-    targets, and the refusal of a target moved past its observable's spectral range, are a
+    preconditioner and judges its targets again, so solver errors at the perturbed targets,
+    and the refusal of a target moved past or onto its observable's spectral edge, are a
     fresh ``ConstraintSet``'s.
     """
     _check_controls(tol, max_iter)

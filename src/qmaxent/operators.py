@@ -4,7 +4,7 @@ Everything in this package works on small dense complex matrices held in
 one fixed computational basis.  This module provides the two value types, judged
 as outside input by their constructors and wrapped as computed results by ``_computed``,
 eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
-expectation values, a couple of norms, and private real coordinates.
+expectation values and a couple of norms.
 
 Exponents are shifted, never refused in advance: Overflow means that a
 returned value would not be finite.
@@ -16,8 +16,6 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -323,73 +321,6 @@ def _pairing(x: np.ndarray, y: np.ndarray) -> float:
     Hermitian too: the trace pairing of two matrices, real by construction at any scale.
     """
     return float(x.reshape(-1).view(np.float64) @ y.reshape(-1).view(np.float64))
-
-
-# The n^2 real coordinates of an n x n Hermitian matrix are its diagonal, then the real and
-# the imaginary parts of its strict upper triangle, row by row; only this block knows that.
-@lru_cache(maxsize=16)
-def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinates' float64-view positions, and each float64's coordinate and sign by row."""
-    rows, cols = np.triu_indices(n, 1)
-    upper = 2 * (rows * n + cols)
-    index = np.concatenate((2 * (n + 1) * np.arange(n), upper, upper + 1))
-    source, sign = np.zeros((n, n, 2), np.intp), np.zeros((n, n, 2))
-    source.reshape(-1)[index], sign.reshape(-1)[index] = np.arange(n * n), 1.0
-    source[cols, rows], sign[cols, rows] = source[rows, cols], (1.0, -1.0)
-    arrays = index, source.reshape(n, 2 * n), sign.reshape(n, 2 * n)
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
-
-
-def _pack(x: np.ndarray) -> np.ndarray:
-    """The coordinates of Hermitian ``x``, one gather from its float64 view."""
-    return x.reshape(-1).view(np.float64)[_layout(len(x))[0]]
-
-
-def _unpack(c: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix of coordinates ``c``, one signed gather; Im a_ii is +0.0."""
-    source, sign = _layout(isqrt(c.size))[1:]
-    out = c[source] * sign
-    out += 0.0  # -0.0 becomes +0.0, as in entries made by hermitian_part
-    return out.view(np.complex128)
-
-
-def _coordinates(operators, n: int) -> np.ndarray:
-    """The (m, n^2) coordinates of m Hermitian n x n operators, packed row by row in place."""
-    out, index = np.empty((len(operators), n * n)), _layout(n)[0]
-    for k, a in enumerate(operators):
-        a.entries.reshape(-1).view(np.float64).take(index, out=out[k], mode="clip")
-    return out
-
-
-def _dual(y: np.ndarray) -> np.ndarray:
-    """c(Y) with its off-diagonal coordinates doubled (exact): c(X) @ _dual(Y) = tr(X Y)."""
-    c = _pack(y)
-    c[len(y) :] *= 2.0
-    return c
-
-
-def _split(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the diagonal and the off-diagonal coordinates in the rows of ``c``."""
-    n = isqrt(c.shape[-1])
-    return c[..., :n], c[..., n:]
-
-
-def _pivot_bound(c: np.ndarray, least: bool) -> float:
-    """The least (or greatest) eigenvalue of the 2x2 principal submatrices that pair the
-    smallest (or largest) diagonal entry a_pp with each other index,
-    (a_pp + a_jj)/2 -+ sqrt(((a_pp - a_jj)/2)^2 + |a_pj|^2), and a_pp itself: by Cauchy
-    interlacing a bound on A's least (or greatest) eigenvalue from only the 2(n - 1)
-    coordinates of the a_pj."""
-    n = isqrt(c.size)
-    d = c[:n]
-    p = d.argmin() if least else d.argmax()
-    part = c[_layout(n)[1][p]]  # Re a_pj, Im a_pj for each j; j = p reads a_pp and c_0
-    rad = np.hypot(np.hypot((d - d[p]) / 2.0, part[::2]), part[1::2])
-    rad[p] = 0.0  # j = p: the 1x1 submatrix a_pp
-    mid = (d + d[p]) / 2.0
-    return float((mid - rad).min()) if least else float((mid + rad).max())
 
 
 def expectation(state: DensityOperator, observable: HermitianOperator) -> float:

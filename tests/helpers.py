@@ -71,6 +71,15 @@ def rand_spectrum_hermitian(
     return make_hermitian((u * w) @ u.conj().T)
 
 
+def step_count(lambda_end: float, step: float) -> int:
+    """integrate_flow's step count: ceil(|lambda_end| / step), a ratio within 1e-9 of an
+    integer rounded to it, and at least one step to a nonzero lambda_end, the last of
+    which lands on it."""
+    ratio = abs(lambda_end) / step
+    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    return max(n_steps, int(lambda_end != 0.0))
+
+
 def rk4_matrix_flow(
     start: DensityOperator, observable: HermitianOperator, lambda_end: float, step: float
 ) -> list[tuple[float, np.ndarray, float]]:
@@ -82,8 +91,7 @@ def rk4_matrix_flow(
     """
     a = observable.entries
     length, sign = abs(lambda_end), (1.0 if lambda_end >= 0.0 else -1.0)
-    ratio = length / step
-    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    n_steps = step_count(lambda_end, step)
     every = max(1, int(np.ceil(n_steps / 1000)))
 
     def velocity(y):
@@ -92,7 +100,7 @@ def rk4_matrix_flow(
     y = np.array(start.entries, dtype=complex)
     out = [(0.0, y, float(np.trace(y @ a).real))]
     for k in range(1, n_steps + 1):
-        lam = sign * min(k * step, length)
+        lam = sign * (length if k == n_steps else min(k * step, length))
         h = lam - sign * min((k - 1) * step, length)
         k1 = velocity(y)
         k2 = velocity(y + (h / 2.0) * k1)

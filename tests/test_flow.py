@@ -35,6 +35,7 @@ from helpers import (
     rand_hermitian,
     rand_hermitian_radius,
     rk4_matrix_flow,
+    step_count,
     zero_pairing_tangent,
 )
 
@@ -99,6 +100,22 @@ class TestIntegrateFlow:
         traj = integrate_flow(UNIFORM, SZ, 0.0)
         assert len(traj.samples) == 1
         assert traj.samples[0].state is UNIFORM
+
+    @pytest.mark.parametrize(
+        "lambda_end", [1e-13, -1e-300, 0.0020000000000005, -0.0020000000000005, -0.0019999999999995]
+    )
+    def test_last_step_lands_on_lambda_end(self, rng, lambda_end):
+        # a length far below the step still takes one; a ratio within 1e-9 above an integer
+        # rounds down, and its last step is the longer one
+        rho0 = rand_density(rng, 3, min_eig=0.1)
+        a = rand_hermitian(rng, 3)
+        traj = integrate_flow(rho0, a, lambda_end)
+        assert traj.samples[-1].lam == lambda_end
+        assert len(traj.samples) == step_count(lambda_end, 1e-3) + 1
+        assert len(traj.samples) == (2 if abs(lambda_end) < 1e-3 else 3)
+        exact = closed_form_flow(rho0, a, lambda_end)
+        assert trace_distance(traj.samples[-1].state, exact) <= 1e-12
+        assert_same_as_per_step(rho0, a, lambda_end, 1e-3)
 
     def test_negative_direction(self):
         traj = integrate_flow(UNIFORM, SZ, -1.0)
@@ -265,18 +282,18 @@ def factor_steps(start, observable, lambda_end, step):
 
     Each step multiplies y = V† rho V by the factor F at x = (a_i + a_j)/2 of A - c I, c the
     middle of A's spectrum, with the four stage means sum_i a_i (y_s)_ii, y_s = y g_s, summed
-    in index order; ``diagonal`` is y's diagonal as Python floats.
+    in index order; ``diagonal`` is y's diagonal as Python floats.  The last step ends on
+    lambda_end exactly.
     """
     length, sign = abs(lambda_end), (1.0 if lambda_end >= 0.0 else -1.0)
-    ratio = length / step
-    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    n_steps = step_count(lambda_end, step)
     a, v = np.linalg.eigh(observable.entries)
     centred = a - (a[-1] / 2.0 + a[0] / 2.0)
     x = centred[:, None] / 2.0 + centred[None, :] / 2.0
     y = hermitian_part(v.conj().T @ start.entries @ v)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n_steps + 1):
-            lam = sign * min(k * step, length)
+            lam = sign * (length if k == n_steps else min(k * step, length))
             h = lam - sign * min((k - 1) * step, length)
             weighted = centred * y.diagonal().real
             t1 = sum(weighted.tolist()) - x
@@ -299,8 +316,7 @@ def per_step_flow(start, observable, lambda_end, step):
     integrate_flow's message.  Stepping goes on past a failure, so a test can see the later
     ones too.
     """
-    ratio = abs(lambda_end) / step
-    n_steps = int(round(ratio)) if abs(ratio - round(ratio)) < 1e-9 else int(np.ceil(ratio))
+    n_steps = step_count(lambda_end, step)
     every = max(1, int(np.ceil(n_steps / 1000)))
     a, v = np.linalg.eigh(observable.entries)
     steps = []

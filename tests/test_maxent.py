@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qmaxent.maxent
-from qmaxent.operators import _coordinates, _unpack
+from qmaxent.maxent import _coordinates, _unpack
 from qmaxent import (
     ConstraintSet,
     DependentConstraints,
@@ -113,6 +113,11 @@ class TestConstraintSet:
     def test_length_mismatch(self):
         with pytest.raises(DimMismatch):
             ConstraintSet((SZ,), [0.1, 0.2])
+
+    def test_targets_must_be_a_vector(self):
+        # one target in a (1, 1) array: the message names the shape, not a count that matches
+        with pytest.raises(DimMismatch, match=r"1 observables but targets shaped \(1, 1\)"):
+            ConstraintSet((SZ,), [[0.1]])
 
     def test_dependent_observables_rejected(self):
         doubled = make_hermitian(2.0 * SIGMA_Z)
@@ -259,6 +264,14 @@ class TestConstraintSet:
         empty = ConstraintSet((), [], dim=3)
         assert empty.dim == 3
         assert empty._coords.shape == (0, 9) and empty._precond.shape == (0, 0)
+
+    @pytest.mark.parametrize("dim", [0, -1, True, 2.0, "2"])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        for observables, targets in (((), []), ((SZ,), [0.1])):
+            with pytest.raises(DimMismatch, match="integer of at least 1") as caught:
+                ConstraintSet(observables, targets, dim=dim)
+            assert type(caught.value) is DimMismatch
+        assert ConstraintSet((SZ,), [0.1], dim=np.int64(2)).dim == 2
 
 
 class TestPartitionFunction:
@@ -709,7 +722,7 @@ class TestEntropySensitivity:
 
     def test_observables_judged_once(self, rng, monkeypatch):
         # the 2m shifted solves reuse the observables' coordinates and preconditioner and
-        # judge only the moved target, with the results of fresh constraint sets bit for bit
+        # judge the targets again, with the results of fresh constraint sets bit for bit
         n, m = 4, 3
         observables = [rand_hermitian(rng, n) for _ in range(m)]
         state = rand_density(rng, n, min_eig=0.05)
@@ -736,6 +749,15 @@ class TestEntropySensitivity:
             solve_maxent(ConstraintSet((SZ,), np.array([target]) + 1e-4))
         with pytest.raises(Infeasible) as moved:
             entropy_sensitivity(ConstraintSet((SZ,), [target]))
+        assert str(moved.value) == str(fresh.value)
+
+    def test_boundary_target_not_moved(self):
+        # target 1 on its spectral edge: the first shifted set, target 0 moved, refuses it
+        # as a fresh set does
+        with pytest.raises(Infeasible, match="on the boundary") as fresh:
+            solve_maxent(ConstraintSet((SX, SZ), [0.3 + 1e-4, 1.0]))
+        with pytest.raises(Infeasible) as moved:
+            entropy_sensitivity(ConstraintSet((SX, SZ), [0.3, 1.0]))
         assert str(moved.value) == str(fresh.value)
 
 

@@ -27,7 +27,8 @@ from qmaxent import (
     trace_distance,
 )
 
-from qmaxent.operators import _coordinates, _dual, _pack, _pairing, _split, _unpack
+from qmaxent.maxent import _coordinates, _dual, _unpack
+from qmaxent.operators import _pairing
 
 from helpers import SIGMA_X, SIGMA_Z, rand_density, rand_hermitian, rand_spectrum_hermitian
 
@@ -259,8 +260,13 @@ class TestExpectation:
             assert abs(lhs - rhs) <= 1e-12
 
 
+def pack(x: np.ndarray) -> np.ndarray:
+    """The real coordinates of exactly Hermitian ``x``."""
+    return _coordinates((make_hermitian(x),), len(x))[0]
+
+
 class TestCoordinates:
-    """The n^2 real coordinates that hold the MaxEnt constraints."""
+    """The n^2 real coordinates that hold the MaxEnt constraints, laid out in maxent.py."""
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_dot_product_is_the_pairing(self, rng, scale):
@@ -268,7 +274,7 @@ class TestCoordinates:
             for _ in range(10):
                 x, y = (rand_hermitian(rng, n, scale).entries for _ in range(2))
                 bound = 1e-15 * np.linalg.norm(x) * np.linalg.norm(y)
-                assert abs(_pack(x) @ _dual(y) - _pairing(x, y)) <= bound
+                assert abs(pack(x) @ _dual(y) - _pairing(x, y)) <= bound
 
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_unpack_inverts_pack(self, rng, scale):
@@ -278,14 +284,15 @@ class TestCoordinates:
             if n > 1:
                 x[0, 1] = complex(5e-324, -1e-310)
                 x[1, 0] = x[0, 1].conjugate()
-            coordinates = _pack(x)
+            assert make_hermitian(x).entries.tobytes() == x.tobytes()  # packed as it is
+            coordinates = pack(x)
             assert coordinates.shape == (n * n,)
             assert _unpack(coordinates).tobytes() == x.tobytes()
 
     def test_rows_give_norms_and_traces(self, rng):
         observables = tuple(rand_hermitian(rng, 5) for _ in range(3))
         coordinates = _coordinates(observables, 5)
-        diagonal, off = _split(coordinates)
+        diagonal, off = coordinates[:, :5], coordinates[:, 5:]
         for k, a in enumerate(observables):
             squares = coordinates[k] @ coordinates[k] + off[k] @ off[k]
             assert squares == pytest.approx(np.linalg.norm(a.entries) ** 2, rel=1e-14)
