@@ -52,10 +52,10 @@ which is Hermitian and positive semidefinite for every input.  (The
 asymmetric product rho0 exp(-lam A) / Z agrees with it only when rho0 and
 A commute; this module always uses the symmetric form and makes no
 optimality claim for it in the non-commuting case.)  In A's eigenbasis the
-constraint reduces to a classical tilted mean that is strictly decreasing
-in lam, so the multiplier is found by a safeguarded Newton iteration with
-a bisection fallback, run on A's eigenvalues centred at the target and divided by
-their spread, while the target is met in the caller's units.
+constraint reduces to a classical tilted mean, the one-constraint classical
+I-projection (Csiszar 1975), so the multiplier comes from the iteration of
+``classical_gibbs_oracle`` (``_classical_gibbs``), while the target is met in the
+caller's units.
 """
 
 from __future__ import annotations
@@ -562,17 +562,6 @@ def entropy_sensitivity(
     return out
 
 
-def _tilted_mean_var(mu: float, d: np.ndarray, ua: np.ndarray) -> tuple[float, float, float]:
-    """Mean and variance of u, and the mean of a, under weights d_i exp(-mu u_i); ``ua`` holds
-    the rows u and a."""
-    u = ua[0]
-    x = -mu * u
-    q = d * np.exp(x - x.max())
-    q /= q.sum()
-    mean, caller = (ua @ q).tolist()
-    return mean, float(q @ (u - mean) ** 2), caller
-
-
 def solve_prior_tilt(
     prior: DensityOperator,
     observable: HermitianOperator,
@@ -585,124 +574,35 @@ def solve_prior_tilt(
 
     Returns (lam, state) with state the symmetric exponential tilt of the
     prior and |tr(state A) - target| <= tol.  In A's eigenbasis the mean is
-    a classical tilted average with derivative minus a variance, hence
-    strictly decreasing; the root is unique and found by safeguarded Newton
-    with bisection fallback on a bracketing interval.  Feasible targets lie
-    strictly between the smallest and largest eigenvalue of A that carries
-    prior weight.  The iteration runs on u = (a - target)/(max a - min a) over
-    the support and mu = lam (max a - min a), so no rule depends on A's scale,
-    while ``tol`` is met by the mean of A in the caller's units.  An iterate that
-    repeats would repeat forever, so it raises MaxIterExceeded at once.
+    the classical tilted mean of A's eigenvalues a_i under the prior's weights
+    d_i = (V^dag rho0 V)_ii on its support, so lam is the one-constraint
+    classical multiplier, found by ``classical_gibbs_oracle``'s iteration
+    (``_classical_gibbs``).  Feasible targets lie strictly between the smallest and
+    largest eigenvalue of A that carries prior weight.
     """
     _check_controls(tol, max_iter)
     setup = _tilt_support(prior, observable, target, tol, "prior")
     if setup is None:
         return 0.0, prior
     w, v, support, a_s, d_s = setup
-    # a_s descends, as eig_hermitian's eigenvalues do; halved first so that no difference overflows
-    spread = float(a_s[0]) / 2 - float(a_s[-1]) / 2
-    ua = np.array((a_s / 2 - target / 2, a_s))
-    ua[0] /= spread  # u = (a - target)/(max a - min a): the tilt by mu u is the tilt by lam a
-
-    def met(mean: float) -> bool:
-        return abs(mean / 2 - target / 2) <= tol / 2
-
-    mean0, var0, mean = _tilted_mean_var(0.0, d_s, ua)
-    if met(mean):
+    lam = float(_classical_gibbs(d_s, a_s[None, :], np.array([target]), tol, max_iter)[0][0])
+    if lam == 0.0:
         return 0.0, prior
-
-    # the mean is strictly decreasing in mu and saturates at an end of the support,
-    # which lies strictly past the target: double away from 0 toward the target,
-    # from the Newton step at 0
-    sign = 1.0 if mean0 > 0.0 else -1.0
-    inner, outer = 0.0, (mean0 / var0 if mean0 and var0 > 0.0 else sign)
-    while sign * _tilted_mean_var(outer, d_s, ua)[0] > 0.0:
-        inner, outer = outer, 2.0 * outer
-        if not np.isfinite(outer / spread):  # lam = mu / (2 spread) too
-            raise Infeasible(f"target {target!r} numerically at the boundary")
-    xlo, xhi = sorted((inner, outer))
-
-    x = 0.5 * (xlo + xhi)
-    for _ in range(max_iter):
-        fx, var, mean = _tilted_mean_var(x, d_s, ua)
-        if met(mean):
-            lam = x / 2 / spread
-            return lam, _tilt(prior, w, v, support, lam)
-        if fx > 0.0:
-            xlo = x
-        else:
-            xhi = x
-        if var > 0.0:
-            candidate = x + fx / var
-        else:
-            candidate = 0.5 * (xlo + xhi)
-        if not (xlo < candidate < xhi):
-            candidate = 0.5 * (xlo + xhi)
-        if candidate == x:  # every later step would repeat this one
-            raise MaxIterExceeded(
-                f"target {target!r} below the resolution of A's eigenvalues: mean {mean!r} repeats"
-            )
-        x = candidate
-    raise MaxIterExceeded(f"no convergence after {max_iter} Newton iterations")
+    return lam, _tilt(prior, w, v, support, lam)
 
 
-def classical_gibbs_oracle(
-    weights,
-    values,
-    targets,
-    *,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Classical tilted distribution p_i proportional to w_i exp(-sum_k lam_k v_ki).
+def _classical_gibbs(
+    ws: np.ndarray, vs: np.ndarray, t: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The multipliers lam and the distribution p proportional to ws_i exp(-sum_k lam_k vs_ki)
+    with sum_i p_i vs_ki within ``tol`` of t_k, for positive weights ``ws``, an m x len(ws)
+    array ``vs`` and each t_k strictly inside the range of vs_k.
 
-    Solves the scalar analogue of the operator problem by a damped Newton iteration on
-    the classical dual (the Hessian is the covariance of the value vectors, available in
-    closed form) in values (v - t)/(max v - min v) over the support, so no rule depends on
-    their scale, while convergence is judged on sum_i p_i v_ki - t_k in the caller's units (a
-    target below the values' resolution raises MaxIterExceeded).  Each step solves
-    (H + nu I) d = -g with nu = 1e-14 tr H + ||g|| / (1 + max|mu|) (Levenberg-Marquardt), so
-    ||d|| <= 1 + max|mu| for the scaled multipliers mu: the large mu that tiny weights need
-    are reached geometrically, and where H underflows to 0 the step is steepest descent's,
-    of that length.
-    The separating hyperplane lam . t < min_i lam . v_i over the support proves targets
-    jointly unreachable.  Deliberately shares no code with the operator path so it can serve as
-    an independent cross-check on commuting instances.
+    Damped Newton on the classical dual, run on mu_k = lam_k (max vs_k - min vs_k); see
+    ``classical_gibbs_oracle``.
     """
-    _check_controls(tol, max_iter)
-    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
-        raise InputValidationError("weights must be a nonempty finite vector")
-    if w.min() < -1e-12:
-        raise InputValidationError(
-            f"weights must be nonnegative, smallest is {float(w.min())!r}"
-        )
-    w = np.maximum(w, 0.0)
-    if abs(w.sum() - 1.0) > 1e-10:
-        raise InputValidationError(f"weights must sum to 1, got {float(w.sum())!r}")
-    vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
     m = t.size
-    if vals.shape != (m, w.size) and not (m == 0 and vals.size == 0):
-        raise DimMismatch(
-            f"values shape {vals.shape} incompatible with {m} targets over {w.size} points"
-        )
-    if m == 0:
-        return w.copy()
-    if not np.isfinite(vals).all() or not np.isfinite(t).all():
-        raise InputValidationError("values and targets must be finite")
-
-    support = w > 0.0
-    ws = w[support]
-    vs = vals[:, support]
-    lo, hi = vs.min(axis=1), vs.max(axis=1)
-    for k in range(m):
-        if not (lo[k] < t[k] < hi[k]):
-            raise Infeasible(
-                f"target {float(t[k])!r} outside the open achievable interval "
-                f"({float(lo[k])!r}, {float(hi[k])!r})"
-            )
-    spread = hi / 2 - lo / 2  # halved first so that no difference overflows
+    spread = vs.max(axis=1) / 2 - vs.min(axis=1) / 2  # halved first so that no difference overflows
     us = (vs / 2 - t[:, None] / 2) / spread[:, None]  # t_k - <v_k> = -2 spread_k <u_k>
     log_ws = np.log(ws)
 
@@ -720,9 +620,7 @@ def classical_gibbs_oracle(
     value, gradient, hess, p = point(mu)
     for _ in range(max_iter):
         if abs(vs @ p / 2 - t / 2).max() <= tol / 2:  # sum_i p_i v_ki within tol of t_k
-            out = np.zeros(w.size)
-            out[support] = p
-            return out
+            return mu / 2 / spread, p
         levels = mu @ us  # lam . v_i - lam . t
         if (gap := float(levels.min())) > 1e-12 * float(abs(levels).max()):
             raise Infeasible(
@@ -748,3 +646,63 @@ def classical_gibbs_oracle(
             )
         mu, value, gradient, hess, p = trial, trial_value, trial_gradient, trial_hess, trial_p
     raise MaxIterExceeded(f"no convergence after {max_iter} Newton iterations")
+
+
+def classical_gibbs_oracle(
+    weights,
+    values,
+    targets,
+    *,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """Classical tilted distribution p_i proportional to w_i exp(-sum_k lam_k v_ki).
+
+    Solves the scalar analogue of the operator problem by a damped Newton iteration on
+    the classical dual (the Hessian is the covariance of the value vectors, available in
+    closed form) in values (v - t)/(max v - min v) over the support, so no rule depends on
+    their scale, while convergence is judged on sum_i p_i v_ki - t_k in the caller's units (a
+    target below the values' resolution raises MaxIterExceeded).  Each step solves
+    (H + nu I) d = -g with nu = 1e-14 tr H + ||g|| / (1 + max|mu|) (Levenberg-Marquardt), so
+    ||d|| <= 1 + max|mu| for the scaled multipliers mu: the large mu that tiny weights need
+    are reached geometrically, and where H underflows to 0 the step is steepest descent's,
+    of that length.
+    The separating hyperplane lam . t < min_i lam . v_i over the support proves targets
+    jointly unreachable.  Shares no code with ``solve_maxent``, whose criterion 03 oracle it
+    is; ``solve_prior_tilt`` runs the same iteration at m = 1.
+    """
+    _check_controls(tol, max_iter)
+    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
+    if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
+        raise InputValidationError("weights must be a nonempty finite vector")
+    if w.min() < -1e-12:
+        raise InputValidationError(
+            f"weights must be nonnegative, smallest is {float(w.min())!r}"
+        )
+    w = np.maximum(w, 0.0)
+    if abs(w.sum() - 1.0) > 1e-10:
+        raise InputValidationError(f"weights must sum to 1, got {float(w.sum())!r}")
+    vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
+    t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    m = t.size
+    if vals.shape != (m, w.size) and not (m == 0 and vals.size == 0):
+        raise DimMismatch(
+            f"values shape {vals.shape} incompatible with {m} targets over {w.size} points"
+        )
+    if m == 0:
+        return w.copy()
+    if not np.isfinite(vals).all() or not np.isfinite(t).all():
+        raise InputValidationError("values and targets must be finite")
+
+    support = w > 0.0
+    vs = vals[:, support]
+    lo, hi = vs.min(axis=1), vs.max(axis=1)
+    for k in range(m):
+        if not (lo[k] < t[k] < hi[k]):
+            raise Infeasible(
+                f"target {float(t[k])!r} outside the open achievable interval "
+                f"({float(lo[k])!r}, {float(hi[k])!r})"
+            )
+    out = np.zeros(w.size)
+    out[support] = _classical_gibbs(w[support], vs, t, tol, max_iter)[1]
+    return out

@@ -144,6 +144,14 @@ class TestTilt:
         assert np.allclose(result["estimate"]["re"], [[0.8, 0.2], [0.2, 0.2]], atol=1e-9)
         assert result["achieved"] == pytest.approx(0.6, abs=1e-10)
 
+    def test_iteration_cap_exit_code(self, capsys):
+        # --max-iter reaches the classical core the tilt runs on; one step does not meet 0.6
+        code, out, err = run_captured(
+            capsys, ["tilt", "--problem", fixture("tilt_xz.json"), "--max-iter", "1"]
+        )
+        assert (code, out) == (4, "")
+        assert json.loads(err)["error"] == "MaxIterExceeded"
+
 
 class TestFlow:
     def test_trajectory_and_csv(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""The package runs on numpy alone and holds no unused import and no unread private name."""
+"""The package runs on numpy alone, holds no unused import and no unread private name, and
+keeps its oracles independent of the routes they check."""
 
 from __future__ import annotations
 
@@ -117,3 +118,50 @@ def test_no_unread_privates_in_the_package():
     package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _unread_privates(sources) == []
+
+
+def _reached(source: str, root: str) -> set[str]:
+    """Names that ``root`` loads and, in turn, that the module-level functions and classes it
+    names load."""
+    tree = ast.parse(source)
+    defs = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    reached, pending = set(), [root]
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name in defs:
+            pending += [
+                n.id
+                for n in ast.walk(defs[name])
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            ]
+    return reached
+
+
+def test_reached_detection():
+    source = (
+        "def _core():\n    return 0\nclass _Set:\n    def m(self):\n        return _core()\n"
+        "def _other():\n    return 1\ndef solve(s: _Set):\n    return s.m()\n"
+    )
+    assert {"_Set", "_core"} <= _reached(source, "solve")
+    assert "_other" not in _reached(source, "solve")
+
+
+def test_oracles_stay_independent():
+    # criterion 03 checks solve_maxent against classical_gibbs_oracle, and criterion 10
+    # checks solve_prior_tilt, which runs on the oracle's iteration, against flow_to_constraint
+    source = (Path(__file__).resolve().parent.parent / "src" / "qmaxent" / "maxent.py").read_text(
+        encoding="utf-8"
+    )
+    assert not {"_classical_gibbs", "classical_gibbs_oracle"} & _reached(source, "solve_maxent")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or "", *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not [name for name in imported if name.split(".")[-1] == "flow"]
