@@ -284,11 +284,11 @@ def flow_to_constraint(
 
     Returns (lam, state) with |tr(state A) - target| <= tol.  The mean is
     strictly decreasing along the flow, so the crossing parameter is
-    bracketed by doubling and then isolated by the Illinois variant of
-    regula falsi (Dowell & Jarratt, BIT 11 (1971) 168) on the matrix-valued
-    closed form; A is diagonalized once.  ``max_iter`` bounds the
-    root-finding steps after bracketing.  This is an independent route to
-    the same state as the variational single-constraint tilt.
+    bracketed by doubling, whose end is returned once its mean is within ``tol``,
+    and then isolated by the Illinois variant of regula falsi (Dowell & Jarratt,
+    BIT 11 (1971) 168) on the matrix-valued closed form; A is diagonalized once.
+    ``max_iter`` bounds the root-finding steps after bracketing.  This is an
+    independent route to the same state as the variational single-constraint tilt.
     """
     _check_controls(tol, max_iter)
     setup = _tilt_support(start, observable, target, tol, "state")
@@ -303,16 +303,16 @@ def flow_to_constraint(
         state = _tilt(start, w, v, support, lam)
         return expectation(state, observable) - target, state
 
-    # the mean saturates at an end of the support, which lies strictly past the
-    # target: double away from 0 on the side where the mean moves toward it, up
-    # to overflow; compare signs, as products of subnormal offsets underflow to 0
+    # the mean saturates at an end of the support, strictly past the target: double away
+    # from 0 on the side where the mean moves toward it, up to overflow or a mean within tol
+    # (which need not cross); compare signs, as products of subnormal offsets underflow to 0
     a, fa, b = 0.0, f0, 1.0 if f0 > 0.0 else -1.0
     while True:
         try:
             fb, state = offset(b)
         except Overflow as exc:
             raise Infeasible(f"target {target!r} numerically at the boundary") from exc
-        if np.sign(fb) * np.sign(f0) <= 0.0:
+        if np.sign(fb) * np.sign(f0) <= 0.0 or abs(fb) <= tol:
             break
         a, fa, b = b, fb, 2.0 * b
 

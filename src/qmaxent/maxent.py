@@ -28,7 +28,8 @@ so no second eigendecomposition judges it, nor ``gibbs_state``'s.  Every state h
 tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue, and one meeting the
 targets has it equal to lam . t, so lam . t < w_min (a separating hyperplane)
 proves the targets unreachable; as log Z >= -w_min, this fires wherever the dual
-value is negative, and sooner.
+value is negative, and sooner.  The loop is one private core, ``_newton``, on a set's
+arrays (coordinates, targets, n Gram^-1, n); ``entropy_sensitivity`` runs it at shifted targets.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
@@ -60,7 +61,6 @@ caller's units.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -241,19 +241,6 @@ class ConstraintSet:
                     "the multiplier would diverge"
                 )
         return boundary
-
-    def _moved(self, j: int, target: float) -> ConstraintSet:
-        """This set with target j moved to ``target`` and its targets judged again: the
-        observables, their coordinates and preconditioner are this set's."""
-        targets = self.targets.copy()
-        targets[j] = target
-        targets.setflags(write=False)
-        squares = self._squares(self._coords, self.dim)
-        boundary = self._judge(self.observables, self._coords, targets, squares)
-        shifted = copy.copy(self)
-        object.__setattr__(shifted, "targets", targets)
-        object.__setattr__(shifted, "_boundary", boundary)
-        return shifted
 
     @staticmethod
     def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -482,9 +469,16 @@ def solve_maxent(
     _check_controls(tol, max_iter)
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    coords, targets, n = constraints._coords, constraints.targets, constraints.dim
+    c = constraints
+    return _newton(c._coords, c.targets, c._precond, c.dim, tol, max_iter)
+
+
+def _newton(
+    coords: np.ndarray, targets: np.ndarray, precond: np.ndarray, n: int, tol: float, max_iter: int
+) -> MaxEntSolution:
+    """``solve_maxent``'s Newton loop on a set's coordinates, targets, n Gram^-1 and dimension."""
     # lam = 0 in closed form: state I/n, log Z = log n, <A_k> = tr A_k / n, Hessian precond^-1
-    lam, precond, iterations = np.zeros(constraints.m), constraints._precond, 0
+    lam, iterations = np.zeros(len(coords)), 0
     value = log_z = float(np.log(n))
     gradient = targets - coords[:, :n].sum(axis=1) / n
     state, eig = (np.eye(n) / n).astype(complex), (np.zeros(n), None, np.full(n, 1.0 / n))
@@ -546,18 +540,23 @@ def entropy_sensitivity(
 
     At the optimum the partial derivative of the achieved maximal entropy
     with respect to target j equals the solved multiplier lam_j, so this is
-    a solver consistency check.  Each perturbed set keeps the observables' coordinates and
-    preconditioner and judges its targets again, so solver errors at the perturbed targets,
-    and the refusal of a target moved past or onto its observable's spectral edge, are a
-    fresh ``ConstraintSet``'s.
+    a solver consistency check.  Each shifted target vector is judged by the set's own
+    ladder of certificates, which refuses a target moved past or onto its observable's
+    spectral edge as ``solve_maxent`` would, and is then solved by ``solve_maxent``'s
+    Newton core on the set's coordinates and preconditioner.
     """
     _check_controls(tol, max_iter)
-    out = np.zeros(constraints.m)
-    for j in range(constraints.m):
+    c = constraints
+    squares, out = c._squares(c._coords, c.dim), np.zeros(c.m)
+    for j in range(c.m):
         values = []
         for sign in (1.0, -1.0):
-            shifted = constraints._moved(j, constraints.targets[j] + sign * SENSITIVITY_STEP)
-            values.append(solve_maxent(shifted, tol=tol, max_iter=max_iter).s_max)
+            targets = c.targets.copy()
+            targets[j] += sign * SENSITIVITY_STEP
+            boundary = c._judge(c.observables, c._coords, targets, squares)
+            if boundary is not None:
+                raise Infeasible(boundary)
+            values.append(_newton(c._coords, targets, c._precond, c.dim, tol, max_iter).s_max)
         out[j] = (values[0] - values[1]) / (2.0 * SENSITIVITY_STEP)
     return out
 

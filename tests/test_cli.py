@@ -152,6 +152,25 @@ class TestTilt:
         assert (code, out) == (4, "")
         assert json.loads(err)["error"] == "MaxIterExceeded"
 
+    @pytest.mark.parametrize("target, expected", [(1.0, 0), (0.5, 3)])
+    def test_observable_constant_on_the_support(self, capsys, tmp_path, target, expected):
+        # A is 1 on the prior's support: the target 1 needs no tilt, 0.5 is out of reach
+        doc = {
+            "mode": "prior_tilt",
+            "observables": [operator_to_document(make_hermitian(np.diag([1.0, 1.0, -1.0])))],
+            "prior": operator_to_document(make_hermitian(np.diag([0.5, 0.5, 0.0]))),
+            "targets": [target],
+        }
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_captured(capsys, ["tilt", "--problem", str(path)])
+        assert code == expected
+        if expected:
+            assert out == ""
+            assert json.loads(err)["error"] == "Infeasible"
+        else:
+            assert '"lambda": 0.0' in out
+
 
 class TestFlow:
     def test_trajectory_and_csv(self, capsys, tmp_path):
@@ -187,6 +206,12 @@ class TestFlow:
             ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "1.0", "--step", "0"],
         )
         assert code == 2
+        assert json.loads(err)["error"] == "StepInvalid"
+
+    def test_non_finite_lambda_end_exit_code(self, capsys):
+        argv = ["flow", "--problem", fixture("flow_z.json"), "--lambda-end", "nan"]
+        code, out, err = run_captured(capsys, argv)
+        assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "StepInvalid"
 
     def test_step_count_overflow_exit_code(self, capsys):

@@ -1,5 +1,6 @@
-"""The package runs on numpy alone, holds no unused import and no unread private name, and
-keeps its oracles independent of the routes they check."""
+"""The package runs on numpy alone, holds no unused import and no unread private name,
+keeps its oracles independent of the routes they check, and builds each frozen object by
+one constructor."""
 
 from __future__ import annotations
 
@@ -165,3 +166,59 @@ def test_oracles_stay_independent():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert not [name for name in imported if name.split(".")[-1] == "flow"]
+
+
+def _construction_bypasses(sources: dict[str, str]) -> list[str]:
+    """Calls of ``object.__setattr__`` or ``object.__new__`` outside a ``__post_init__`` and
+    ``operators._computed``, the only places that build frozen objects, and imports of ``copy``,
+    whose copies skip ``__post_init__``.  ``sources`` maps module file names to their text."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        builders = {"__post_init__"} | ({"_computed"} if module == "operators.py" else set())
+        allowed = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in builders
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("__setattr__", "__new__")
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"
+                and id(node) not in allowed
+            ):
+                found.append(f"{module}: object.{node.func.attr} (line {node.lineno})")
+            elif (isinstance(node, ast.Import) and "copy" in (a.name for a in node.names)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "copy"
+            ):
+                found.append(f"{module}: import copy (line {node.lineno})")
+    return found
+
+
+def test_construction_bypass_detection():
+    sources = {
+        "a.py": "import copy\nclass S:\n    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "    def moved(self):\n        object.__setattr__(copy.copy(self), 'x', 2)\n",
+        "operators.py": "def _computed(cls):\n    return object.__new__(cls)\n"
+        "def _other(cls):\n    return object.__new__(cls)\n",
+        "b.py": "from copy import copy\n",
+    }
+    assert _construction_bypasses(sources) == [
+        "a.py: import copy (line 1)",
+        "a.py: object.__setattr__ (line 6)",
+        "operators.py: object.__new__ (line 4)",
+        "b.py: import copy (line 1)",
+    ]
+
+
+def test_frozen_objects_built_only_by_their_constructors():
+    # a frozen ConstraintSet is built by __post_init__ alone, and a computed operator by
+    # operators._computed, so no second path can skip a check or forget a field
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _construction_bypasses(sources) == []

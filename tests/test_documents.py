@@ -146,7 +146,20 @@ class TestProblemDocument:
         with pytest.raises(InputValidationError):
             problem_from_document(doc)
 
-    @pytest.mark.parametrize("targets", [[10**400], ["0.1"], [[0.1]]])
+    @pytest.mark.parametrize(
+        "observables, message",
+        [
+            ([[[0.5, 0.0], [0.0, 0.5]]], "operator document must be a JSON object"),
+            ({"dim": 2}, "'observables' must be a list"),
+        ],
+    )
+    def test_observables_must_be_a_list_of_objects(self, observables, message):
+        doc = self.problem()
+        doc["observables"] = observables
+        with pytest.raises(InputValidationError, match=message):
+            problem_from_document(doc)
+
+    @pytest.mark.parametrize("targets", [[10**400], ["0.1"], [[0.1]], 0.1])
     def test_targets_must_be_numbers(self, targets):
         doc = self.problem()
         doc["targets"] = targets

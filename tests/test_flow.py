@@ -130,6 +130,11 @@ class TestIntegrateFlow:
         with pytest.raises(StepInvalid):
             integrate_flow(UNIFORM, SZ, 1.0, step=-1e-3)
 
+    @pytest.mark.parametrize("lambda_end", [np.nan, np.inf])
+    def test_lambda_end_must_be_finite(self, lambda_end):
+        with pytest.raises(StepInvalid, match="lambda_end must be finite"):
+            integrate_flow(UNIFORM, SZ, lambda_end)
+
     def test_step_count_must_be_finite(self):
         # 1.0 / 5e-324 overflows to an infinite step count
         with pytest.raises(StepInvalid, match=r"step 5e-324 .* lambda_end 1\.0"):
@@ -474,6 +479,10 @@ class TestClosedForm:
         rho = rand_density(rng, 4)
         assert closed_form_flow(rho, rand_hermitian(rng, 4), 0.0) is rho
 
+    def test_parameter_must_be_finite(self):
+        with pytest.raises(InputValidationError, match="lam must be finite"):
+            closed_form_flow(UNIFORM, SZ, np.inf)
+
     def test_scalar_evaluation(self):
         out = closed_form_flow(UNIFORM, SZ, 1.0)
         expected = np.diag([np.exp(-1.0), np.exp(1.0)]) / (2.0 * np.cosh(1.0))
@@ -552,6 +561,31 @@ class TestFlowToConstraint:
     def test_infeasible_target(self):
         with pytest.raises(Infeasible):
             flow_to_constraint(UNIFORM, SZ, 1.0)
+
+    def test_target_met_before_the_bracket_crosses(self):
+        # one ulp below A's top eigenvalue: the doubling bracket's mean comes within tol of
+        # the target without crossing it before the tilt overflows, so that end is returned
+        a = make_hermitian(np.array([[-1.0, 1.0], [1.0, 0.1]]))
+        target = float(np.nextafter(np.linalg.eigh(a.entries)[0][-1], -np.inf))
+        lam_v, state_v = solve_prior_tilt(UNIFORM, a, target)
+        lam_g, state_g = flow_to_constraint(UNIFORM, a, target)
+        assert abs(expectation(state_v, a) - target) <= 1e-10
+        assert abs(expectation(state_g, a) - target) <= 1e-10
+        assert lam_v < 0.0 and lam_g < 0.0
+        assert trace_distance(state_v, state_g) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "route, role", [(solve_prior_tilt, "prior"), (flow_to_constraint, "state")]
+    )
+    def test_observable_constant_on_the_support(self, route, role):
+        # A is 1 on the prior's support: the target 1 is met untilted, 0.5 never is
+        prior = make_density(np.diag([0.5, 0.5, 0.0]))
+        a = make_hermitian(np.diag([1.0, 1.0, -1.0]))
+        lam, state = route(prior, a, 1.0)
+        assert lam == 0.0
+        assert state is prior
+        with pytest.raises(Infeasible, match=rf"constant \(1\.0\) on the {role}'s support"):
+            route(prior, a, 0.5)
 
     def test_iteration_limit(self, rng):
         prior = rand_density(rng, 4, min_eig=0.05)

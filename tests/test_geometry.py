@@ -47,6 +47,11 @@ class TestTypes:
         with pytest.raises(DimMismatch):
             TangentDecomposition(dp=[0.1, -0.1, 0.0], dtheta=0.0, h=SX)
 
+    @pytest.mark.parametrize("dp, dtheta", [([np.nan, 0.0], 0.0), ([0.1, -0.1], np.inf)])
+    def test_decomposition_must_be_finite(self, dp, dtheta):
+        with pytest.raises(NotTraceless, match="must be finite"):
+            TangentDecomposition(dp=dp, dtheta=dtheta, h=SX)
+
 
 class TestPair:
     def test_identity_form(self, rng):

@@ -114,6 +114,10 @@ class TestConstraintSet:
         with pytest.raises(DimMismatch):
             ConstraintSet((SZ,), [0.1, 0.2])
 
+    def test_targets_must_be_finite(self):
+        with pytest.raises(InputValidationError, match="targets must be finite"):
+            ConstraintSet((SZ,), [np.nan])
+
     def test_targets_must_be_a_vector(self):
         # one target in a (1, 1) array: the message names the shape, not a count that matches
         with pytest.raises(DimMismatch, match=r"1 observables but targets shaped \(1, 1\)"):
@@ -288,6 +292,10 @@ class TestPartitionFunction:
         with pytest.raises(Overflow):
             partition_function([1000.0], [SZ])
 
+    def test_multipliers_must_be_finite(self):
+        with pytest.raises(InputValidationError, match="multipliers must be finite"):
+            partition_function([np.inf], [SZ])
+
     def test_overflowing_aggregate(self):
         # each multiplier is finite, their sum_k lam_k A_k is not
         with pytest.raises(Overflow, match="sum_k lam_k A_k"):
@@ -302,6 +310,10 @@ class TestGibbsState:
     def test_no_tilt_is_uniform(self):
         rho = gibbs_state([0.0], [SZ])
         assert np.allclose(rho.entries, np.eye(2) / 2)
+
+    def test_needs_an_observable(self):
+        with pytest.raises(DimMismatch, match="at least one observable"):
+            gibbs_state([], ())
 
     def test_scalar_tilt(self):
         rho = gibbs_state([-np.log(2.0)], [SZ])
@@ -346,6 +358,17 @@ class TestDualObjective:
     def test_stationarity_at_solution(self):
         _, grad = dual_objective([-np.log(2.0)], ConstraintSet((SZ,), [0.6]))
         assert np.abs(grad).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "multipliers, error, message",
+        [
+            ([0.0, 0.0], DimMismatch, "2 multipliers but 1 observables"),
+            ([np.nan], InputValidationError, "multipliers must be finite"),
+        ],
+    )
+    def test_multipliers_are_judged(self, multipliers, error, message):
+        with pytest.raises(error, match=message):
+            dual_objective(multipliers, ConstraintSet((SZ,), [0.6]))
 
     def test_value_that_is_not_finite(self):
         # log Z + lam . t overflows, or sum_k lam_k A_k does and the value is NaN
@@ -837,6 +860,20 @@ class TestClassicalOracle:
     def test_boundary_infeasible(self):
         with pytest.raises(Infeasible):
             classical_gibbs_oracle([0.5, 0.5], [[1.0, -1.0]], [1.0])
+
+    @pytest.mark.parametrize(
+        "weights, values, error, message",
+        [
+            ([], [[]], InputValidationError, "nonempty finite vector"),
+            ([1.5, -0.5], [[1.0, -1.0]], InputValidationError, "nonnegative, smallest is -0.5"),
+            ([0.45, 0.45], [[1.0, -1.0]], InputValidationError, "sum to 1, got 0.9"),
+            ([0.5, 0.5], [[1.0, -1.0, 0.0]], DimMismatch, r"values shape \(1, 3\)"),
+            ([0.5, 0.5], [[1.0, np.nan]], InputValidationError, "values and targets must be"),
+        ],
+    )
+    def test_inputs_are_judged(self, weights, values, error, message):
+        with pytest.raises(error, match=message):
+            classical_gibbs_oracle(weights, values, [0.1])
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-8, 1e-200])
     def test_scale_free(self, scale):
