@@ -5,7 +5,8 @@ a JSON problem or state document; output is a JSON result on stdout (or
 --output), plus an optional trajectory CSV for ``flow``.  Output bytes are
 deterministic for a given input.  Errors print a one-line JSON object to
 stderr and map to exit codes: 2 input error, 3 infeasible, 4 numerical
-failure.
+failure.  The console entry ``main`` freezes the import-time heap (``gc.freeze``), so the
+exit collections skip it and the OS frees it; ``run``, the library path, leaves GC alone.
 """
 
 from __future__ import annotations
@@ -220,6 +221,8 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    import gc  # here alone: a library caller's collector is never touched
+    gc.freeze()  # everything imported so far lives until exit; requests still collect as usual
     sys.exit(run(sys.argv[1:]))
 
 

@@ -50,9 +50,9 @@ def _numbers(raw, shape: tuple[int, ...], name: str) -> np.ndarray:
     if a.shape != shape:
         raise InputValidationError(f"'{name}' must have shape {shape}, got {a.shape}")
     entries = np.asarray(raw, dtype=object).ravel()
-    bad = [x for x in entries if isinstance(x, bool) or not isinstance(x, (int, float))]
-    if bad:
-        raise InputValidationError(f"'{name}' entries must be numbers, got {bad[0]!r}")
+    for x in () if set(map(type, entries)) <= {int, float} else entries:  # scan on a bad type
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise InputValidationError(f"'{name}' entries must be numbers, got {x!r}")
     return a
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 from pathlib import Path
@@ -75,10 +76,33 @@ class TestEstimate:
 
 
 class TestLauncher:
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, capsys):
+        # the console entry freezes the import-time heap, then runs the library path: its bytes
+        # are run()'s, and run() leaves a library caller's heap unfrozen
+        frozen = gc.get_freeze_count()
+        code, out, _ = run_captured(capsys, ["estimate", "--problem", fixture("qubit_xz.json")])
+        assert (code, gc.get_freeze_count()) == (0, frozen)
         proc = run_python("-m", "qmaxent.cli", "estimate", "--problem", fixture("qubit_xz.json"))
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
         assert json.loads(proc.stdout)["residual"] <= 1e-10
+        infeasible = fixture("infeasible_z.json")
+        proc = run_python("-m", "qmaxent.cli", "estimate", "--problem", infeasible)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert json.loads(proc.stderr)["error"] == "Infeasible"
+
+    def test_console_entry_freezes_the_import_time_heap(self):
+        # an atexit handler runs after main's sys.exit and reads what the exit collections skip
+        proc = run_python(
+            "-c",
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+            "from qmaxent.cli import main\n"
+            f"sys.argv[1:] = ['entropy', '--state', {fixture('state_mixed.json')!r}]\n"
+            "main()",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr) > 1000
 
 
 class TestEntropy:

@@ -1,6 +1,6 @@
 """The package runs on numpy alone, holds no unused import and no unread private name,
-keeps its oracles independent of the routes they check, and builds each frozen object by
-one constructor."""
+keeps its oracles independent of the routes they check, builds each frozen object by one
+constructor and leaves the garbage collector to the console entry."""
 
 from __future__ import annotations
 
@@ -222,3 +222,48 @@ def test_frozen_objects_built_only_by_their_constructors():
     package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _construction_bypasses(sources) == []
+
+
+def _gc_references(sources: dict[str, str]) -> list[str]:
+    """Imports and names of ``gc`` outside ``main`` in ``cli.py``, the console entry, which alone
+    may freeze the heap: a library caller's collector is its own.  ``sources`` maps module file
+    names to their text."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        allowed = {
+            id(inner)
+            for node in tree.body
+            if module == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main"
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if isinstance(node, ast.Import) and "gc" in (a.name for a in node.names):
+                found.append(f"{module}: import gc (line {node.lineno})")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                found.append(f"{module}: from gc (line {node.lineno})")
+            elif isinstance(node, ast.Name) and node.id == "gc":
+                found.append(f"{module}: gc (line {node.lineno})")
+    return found
+
+
+def test_gc_reference_detection():
+    sources = {
+        "cli.py": "import gc\ndef main():\n    import gc\n    gc.freeze()\n"
+        "def run():\n    gc.collect()\n",
+        "maxent.py": "from gc import freeze\ndef main():\n    import gc\n",
+    }
+    assert _gc_references(sources) == [
+        "cli.py: import gc (line 1)",
+        "cli.py: gc (line 6)",
+        "maxent.py: from gc (line 1)",
+        "maxent.py: import gc (line 3)",
+    ]
+
+
+def test_only_the_console_entry_touches_gc():
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _gc_references(sources) == []

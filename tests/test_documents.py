@@ -65,6 +65,16 @@ def test_matrix_entries_must_be_numbers(field, entry):
         operator_from_document(doc)
 
 
+def test_first_bad_matrix_entry_in_row_order_is_named():
+    doc = operator_to_document(make_density(np.eye(2) / 2))
+    doc["re"] = [[0.5, "0"], [True, 0.5]]  # in column order True would come first
+    with pytest.raises(InputValidationError, match="'re' entries must be numbers, got '0'$"):
+        operator_from_document(doc)
+    # a float subclass is a number: its type alone sends the entries to the per-entry scan
+    doc["re"] = [[np.float64(0.5), 0.0], [0.0, 0.5]]
+    assert operator_from_document(doc).entries[0, 0] == 0.5
+
+
 def test_density_document_checks_state_invariants():
     doc = operator_to_document(make_density(np.eye(2) / 2))
     doc["re"] = [[1.0, 0.0], [0.0, 1.0]]
