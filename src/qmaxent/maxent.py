@@ -28,8 +28,8 @@ so no second eigendecomposition judges it, nor ``gibbs_state``'s.  Every state h
 tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue, and one meeting the
 targets has it equal to lam . t, so lam . t < w_min (a separating hyperplane)
 proves the targets unreachable; as log Z >= -w_min, this fires wherever the dual
-value is negative, and sooner.  The loop is one private core, ``_newton``, on a set's
-arrays (coordinates, targets, n Gram^-1, n); ``entropy_sensitivity`` runs it at shifted targets.
+value is negative, and sooner.  The loop is one private core, ``_newton``, on a
+``ConstraintSet`` and a target vector; ``entropy_sensitivity`` runs it at shifted targets.
 
 A target must lie in its observable's spectral range [w_min, w_max]; by Cauchy
 interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
@@ -193,7 +193,7 @@ class ConstraintSet:
         targets = np.atleast_1d(np.asarray(self.targets, dtype=np.float64)).copy()
         if targets.ndim != 1 or len(observables) != targets.size:
             raise DimMismatch(f"{len(observables)} observables but targets shaped {targets.shape}")
-        if targets.size and not np.isfinite(targets).all():
+        if not np.isfinite(targets).all():
             raise InputValidationError("targets must be finite")
         if self.dim is None:
             if not observables:
@@ -226,9 +226,19 @@ class ConstraintSet:
     @staticmethod
     def _judge(observables, coords, targets, squares) -> str | None:
         """The first boundary target's refusal, or None, after Infeasible for the first
-        target outside its observable's spectral range, by the ladder of certificates."""
+        target outside its observable's spectral range, by the ladder of certificates: the
+        diagonal, the pivot pairs of each end it leaves undecided, then eigvalsh."""
         with np.errstate(over="ignore", invalid="ignore"):
-            uncertain = ConstraintSet._uncertain(coords, targets, squares)
+            margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
+            diag = coords[:, : isqrt(coords.shape[1])]
+            lo, hi = diag.min(axis=1), diag.max(axis=1)
+            for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
+                c, t, e = coords[k], targets[k], margin[k]
+                if not lo[k] + e < t:  # O(n): the pairs of the smallest diagonal entry
+                    lo[k] = _pivot_bound(c, least=True)
+                if not t < hi[k] - e:
+                    hi[k] = _pivot_bound(c, least=False)
+            uncertain = np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
         boundary = None
         for k in uncertain:
             t, w = targets[k], _eigvalsh(observables[k].entries)
@@ -241,20 +251,6 @@ class ConstraintSet:
                     "the multiplier would diverge"
                 )
         return boundary
-
-    @staticmethod
-    def _uncertain(coords: np.ndarray, targets: np.ndarray, squares: np.ndarray) -> np.ndarray:
-        """Indices of the targets that the diagonal and the pivot pairs leave undecided."""
-        margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
-        diag = coords[:, : isqrt(coords.shape[1])]
-        lo, hi = diag.min(axis=1), diag.max(axis=1)
-        for k in np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin))):
-            c, t, e = coords[k], targets[k], margin[k]
-            if not lo[k] + e < t:  # O(n): the pairs of the smallest diagonal entry
-                lo[k] = _pivot_bound(c, least=True)
-            if not t < hi[k] - e:
-                hi[k] = _pivot_bound(c, least=False)
-        return np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
 
     @staticmethod
     def _check_independent(coords: np.ndarray, dim: int, squares: np.ndarray, observables):
@@ -339,7 +335,9 @@ def _evaluated(multipliers, coords: np.ndarray, targets: np.ndarray | None = Non
     which is infinite or NaN only when sum_k lam_k A_k or its spectrum overflows.
     """
     lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
-    if lam.ndim != 1 or lam.size != len(coords):
+    if lam.ndim != 1:
+        raise DimMismatch(f"{len(coords)} observables but multipliers shaped {lam.shape}")
+    if lam.size != len(coords):
         raise DimMismatch(f"{lam.size} multipliers but {len(coords)} observables")
     if not np.isfinite(lam).all():
         raise InputValidationError("multipliers must be finite")
@@ -469,14 +467,14 @@ def solve_maxent(
     _check_controls(tol, max_iter)
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
-    c = constraints
-    return _newton(c._coords, c.targets, c._precond, c.dim, tol, max_iter)
+    return _newton(constraints, constraints.targets, tol, max_iter)
 
 
 def _newton(
-    coords: np.ndarray, targets: np.ndarray, precond: np.ndarray, n: int, tol: float, max_iter: int
+    constraints: ConstraintSet, targets: np.ndarray, tol: float, max_iter: int
 ) -> MaxEntSolution:
-    """``solve_maxent``'s Newton loop on a set's coordinates, targets, n Gram^-1 and dimension."""
+    """``solve_maxent``'s Newton loop at ``targets`` on the set's coordinates and n Gram^-1."""
+    coords, precond, n = constraints._coords, constraints._precond, constraints.dim
     # lam = 0 in closed form: state I/n, log Z = log n, <A_k> = tr A_k / n, Hessian precond^-1
     lam, iterations = np.zeros(len(coords)), 0
     value = log_z = float(np.log(n))
@@ -556,7 +554,7 @@ def entropy_sensitivity(
             boundary = c._judge(c.observables, c._coords, targets, squares)
             if boundary is not None:
                 raise Infeasible(boundary)
-            values.append(_newton(c._coords, targets, c._precond, c.dim, tol, max_iter).s_max)
+            values.append(_newton(c, targets, tol, max_iter).s_max)
         out[j] = (values[0] - values[1]) / (2.0 * SENSITIVITY_STEP)
     return out
 

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from qmaxent import (
+    ConstraintSet,
     DensityOperator,
     HermitianOperator,
+    expectation,
     make_density,
     make_hermitian,
 )
@@ -60,6 +62,21 @@ def rand_density(
     p = (1.0 - dim * min_eig) * p + min_eig
     u = rand_unitary(rng, dim)
     return make_density((u * p) @ u.conj().T)
+
+
+def random_feasible_instance(rng: np.random.Generator, max_dim=8, max_m=6) -> ConstraintSet:
+    """Observables plus targets drawn from a random interior state (eigenvalues >= 0.3 / n).
+
+    The number of constraints is capped by the dimension of the traceless
+    Hermitian space (n^2 - 1), past which random observables are
+    necessarily dependent.
+    """
+    n = int(rng.integers(2, max_dim + 1))
+    m = int(rng.integers(1, min(max_m, n * n - 1) + 1))
+    observables = tuple(rand_hermitian(rng, n) for _ in range(m))
+    interior = rand_density(rng, n, min_eig=0.3 / n)
+    targets = [expectation(interior, a) for a in observables]
+    return ConstraintSet(observables, targets)
 
 
 def rand_spectrum_hermitian(

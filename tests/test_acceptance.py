@@ -49,6 +49,7 @@ from helpers import (
     rand_hermitian,
     rand_hermitian_radius,
     rand_unitary,
+    random_feasible_instance,
     zero_pairing_tangent,
 )
 
@@ -60,15 +61,6 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
     print(line)
     conftest.CRITERION_LINES.append(line)
     assert ok, f"criterion {number}: {name} failed ({detail})"
-
-
-def random_feasible_instance(rng, max_dim=8, max_m=6):
-    n = int(rng.integers(2, max_dim + 1))
-    m = int(rng.integers(1, min(max_m, n * n - 1) + 1))
-    observables = tuple(rand_hermitian(rng, n) for _ in range(m))
-    interior = rand_density(rng, n, min_eig=0.3 / n)
-    targets = [expectation(interior, a) for a in observables]
-    return ConstraintSet(observables, targets)
 
 
 def test_c01_constraint_satisfaction():

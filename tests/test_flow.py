@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+import qmaxent.flow
 import qmaxent.operators
 from qmaxent import (
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
+    Overflow,
     PositivityLoss,
     StepInvalid,
     closed_form_flow,
@@ -495,8 +497,6 @@ class TestClosedForm:
         assert np.abs(out.entries - expected).max() <= 1e-14
 
     def test_overflow_guard(self):
-        from qmaxent import Overflow
-
         # the shifted kernel returns every representable state, however large lam
         out = closed_form_flow(UNIFORM, SZ, 1e4)
         assert np.abs(out.entries - np.diag([0.0, 1.0])).max() <= 1e-15
@@ -561,6 +561,23 @@ class TestFlowToConstraint:
     def test_infeasible_target(self):
         with pytest.raises(Infeasible):
             flow_to_constraint(UNIFORM, SZ, 1.0)
+
+    @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -np.inf])
+    def test_target_must_be_finite(self, route, target):
+        with pytest.raises(InputValidationError, match="target must be finite"):
+            route(UNIFORM, SZ, target)
+
+    def test_overflowing_bracket_is_infeasible(self, monkeypatch):
+        # a tilt that overflows while the bracket doubles puts the target numerically at an
+        # end of the achievable interval
+        def overflowing(*args):
+            raise Overflow("tilt factors not finite")
+
+        monkeypatch.setattr(qmaxent.flow, "_tilt", overflowing)
+        with pytest.raises(Infeasible, match=r"target 0\.6 numerically at the boundary") as caught:
+            flow_to_constraint(UNIFORM, SZ, 0.6)
+        assert isinstance(caught.value.__cause__, Overflow)
 
     def test_target_met_before_the_bracket_crosses(self):
         # one ulp below A's top eigenvalue: the doubling bracket's mean comes within tol of

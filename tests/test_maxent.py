@@ -41,6 +41,7 @@ from helpers import (
     rand_density,
     rand_hermitian,
     rand_hermitian_radius,
+    random_feasible_instance,
 )
 
 SX = make_hermitian(SIGMA_X)
@@ -48,21 +49,6 @@ SZ = make_hermitian(SIGMA_Z)
 # spectrum far from 0 with a spread of 1: the canonical states are shift-stable
 OFFSET = make_hermitian(np.diag([1000.0, 1001.0]))
 ARTANH_HALF = float(np.arctanh(0.5))
-
-
-def random_feasible_instance(rng, max_dim=8, max_m=6, min_eig_frac=0.3):
-    """Observables plus targets drawn from a random interior state.
-
-    The number of constraints is capped by the dimension of the traceless
-    Hermitian space (n^2 - 1), past which random observables are
-    necessarily dependent.
-    """
-    n = int(rng.integers(2, max_dim + 1))
-    m = int(rng.integers(1, min(max_m, n * n - 1) + 1))
-    observables = tuple(rand_hermitian(rng, n) for _ in range(m))
-    interior = rand_density(rng, n, min_eig=min_eig_frac / n)
-    targets = [expectation(interior, a) for a in observables]
-    return ConstraintSet(observables, targets)
 
 
 def gibbs_instance(rng, n, m, scale):
@@ -215,7 +201,7 @@ class TestConstraintSet:
             ConstraintSet(observables, [means[0], spectra[1][-1] + 1.0, means[2]])
         assert eig_calls == {"eigvalsh": 1}
 
-    def test_certificate_agrees_with_full_spectra(self, rng):
+    def test_certificate_agrees_with_full_spectra(self, rng, eig_calls):
         def diagonal(n):
             return make_hermitian(np.diag(rng.normal(size=n)))
 
@@ -256,7 +242,9 @@ class TestConstraintSet:
             w = np.linalg.eigvalsh(a.entries)
             inside = np.array([w[0], w[-1]]) + np.array([1e-9, -1e-9]) * np.abs(w).max()
             squares = np.full(2, np.sum(np.abs(a.entries) ** 2))
-            assert ConstraintSet._uncertain(_coordinates((a, a), 6), inside, squares).size == 0
+            eig_calls.clear()
+            assert ConstraintSet._judge((a, a), _coordinates((a, a), 6), inside, squares) is None
+            assert not eig_calls["eigvalsh"]
         # pairs i < j alone enter |a_ij|: with i = j, sigma_z's pairs would span [-2, 2]
         for target in (1.0, -1.0, 1.0 - 1e-12, 1.5):
             assert constraint_verdict((SZ,), [target]) == range_verdict((SZ,), [target])
@@ -364,6 +352,8 @@ class TestDualObjective:
         [
             ([0.0, 0.0], DimMismatch, "2 multipliers but 1 observables"),
             ([np.nan], InputValidationError, "multipliers must be finite"),
+            # one multiplier in a (1, 1) array: the shape is named, not a count that matches
+            ([[0.0]], DimMismatch, r"1 observables but multipliers shaped \(1, 1\)"),
         ],
     )
     def test_multipliers_are_judged(self, multipliers, error, message):
@@ -593,6 +583,51 @@ class TestSolveMaxEnt:
         # none is spent at lam = 0, whose value, gradient and Newton step are known
         assert counts["evaluations"] == 19
         assert counts["products"] < 74
+
+    def test_direction_at_non_positive_curvature(self):
+        gradient, precond = np.array([1.0, 1.0]), np.diag([2.0, 3.0])
+        # curvature not positive at the first step: preconditioned steepest descent, -P g
+        d = qmaxent.maxent._newton_direction(lambda s: -s, gradient, precond, 1e-10)
+        assert d.tolist() == (-(precond @ gradient)).tolist()
+        # not positive at the second step: the first step's iterate, -(g.Pg / s.Hs) P g
+        products = []
+
+        def turning(s):
+            products.append(s)
+            return np.diag([1.0, 4.0]) @ s if len(products) == 1 else -s
+
+        d = qmaxent.maxent._newton_direction(turning, gradient, np.eye(2), 1e-10)
+        assert len(products) == 2
+        assert d.tolist() == [-0.4, -0.4]
+
+    def test_overlong_direction_backtracks(self, rng, monkeypatch):
+        constraints = gibbs_instance(rng, 8, 10, 0.5)
+        expected = solve_maxent(constraints)
+        counts = {"backtracks": 0}
+        direction = qmaxent.maxent._newton_direction
+
+        class CountedShrink(float):
+            # t *= ARMIJO_SHRINK tries this reflected product first: once per backtrack
+            def __rmul__(self, other):
+                counts["backtracks"] += 1
+                return other * float(self)
+
+        # five times the CG step is refused at t = 1 and 1/2 and met near t = 1/4; tol 1e-6 keeps
+        # the Armijo rule above the value's rounding cushion, below which such a direction
+        # stalls near a residual of 1e-8
+        monkeypatch.setattr(qmaxent.maxent, "_newton_direction", lambda *a: 5.0 * direction(*a))
+        monkeypatch.setattr(qmaxent.maxent, "ARMIJO_SHRINK", CountedShrink(0.5))
+        sol = solve_maxent(constraints, tol=1e-6)
+        assert counts["backtracks"] >= sol.iterations - 1 > 0
+        assert sol.residual <= 1e-6
+        assert trace_distance(sol.estimate, expected.estimate) <= 1e-6
+
+    def test_ascent_direction_stalls_the_line_search(self, rng, monkeypatch):
+        constraints = gibbs_instance(rng, 8, 10, 0.5)
+        # every step up to 1e30 g, the gradient, raises the value past the Armijo bound
+        monkeypatch.setattr(qmaxent.maxent, "_newton_direction", lambda h, g, p, tol: 1e30 * g)
+        with pytest.raises(MaxIterExceeded, match="line search stalled before reaching"):
+            solve_maxent(constraints)
 
     def test_iterations_at_moderate_scale(self, rng):
         # from the identity, BFGS needs 29 or more iterations on these sizes
