@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputValidationError
-from .operators import DensityOperator, HermitianOperator, _computed, _density, _hermitian
+from .operators import DensityOperator, HermitianOperator, _computed, _density, _hermitian, _reals
 
 __all__ = [
     "MODES",
@@ -41,21 +41,6 @@ def operator_to_document(op: HermitianOperator) -> dict:
     }
 
 
-def _numbers(raw, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``raw`` as a float64 array of ``shape``, every entry an int or a float but not a bool."""
-    try:
-        a = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputValidationError(f"'{name}' is not a numeric array: {exc}") from exc
-    if a.shape != shape:
-        raise InputValidationError(f"'{name}' must have shape {shape}, got {a.shape}")
-    entries = np.asarray(raw, dtype=object).ravel()
-    for x in () if set(map(type, entries)) <= {int, float} else entries:  # scan on a bad type
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise InputValidationError(f"'{name}' entries must be numbers, got {x!r}")
-    return a
-
-
 def _operator_entries(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise InputValidationError("operator document must be a JSON object")
@@ -66,9 +51,9 @@ def _operator_entries(doc) -> np.ndarray:
         raise InputValidationError(f"'dim' must be in [1, {MAX_DOCUMENT_DIM}], got {dim}")
     if "re" not in doc or "im" not in doc:
         raise InputValidationError("operator document needs 're' and 'im' matrices")
-    # filled part by part: re + 1j*im would turn an infinite 'im' into a NaN real part
+    # filled part by part: re + 1j*im would turn an 'im' of -0.0 into +0.0
     m = np.empty((dim, dim), dtype=np.complex128)
-    m.real, m.imag = _numbers(doc["re"], (dim, dim), "re"), _numbers(doc["im"], (dim, dim), "im")
+    m.real, m.imag = (_reals(doc[part], f"'{part}'", shape=m.shape) for part in ("re", "im"))
     return _hermitian(m, DOCUMENT_HERMITICITY_TOL)
 
 
@@ -107,9 +92,7 @@ def problem_from_document(doc) -> Problem:
     raw_targets = doc.get("targets", [])
     if not isinstance(raw_targets, list):
         raise InputValidationError("'targets' must be a list")
-    targets = _numbers(raw_targets, (len(raw_targets),), "targets").tolist()
-    if not np.isfinite(targets).all():
-        raise InputValidationError(f"targets must be finite, got {targets}")
+    targets = _reals(raw_targets, "'targets'", shape=(len(raw_targets),)).tolist()
     prior = density_from_document(doc["prior"]) if doc.get("prior") is not None else None
 
     n_obs, n_targets, needs_prior = _SHAPES[mode]

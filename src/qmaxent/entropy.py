@@ -37,6 +37,7 @@ def _entropy_of_spectrum(p: np.ndarray) -> float:
 
 def von_neumann_entropy(state: DensityOperator) -> float:
     """-tr(rho log rho) in nats; 0 for pure states, log(dim) for the uniform state."""
+    _common_dim(state)
     return _entropy_of_spectrum(_eigvalsh(state.entries))
 
 

@@ -47,6 +47,7 @@ from .operators import (
     _eigh,
     _eigvalsh,
     _measured_density,
+    _reals,
     _tilt,
     _tilt_support,
     _weights,
@@ -184,12 +185,12 @@ def integrate_flow(
     endpoint, with mean sum_i a_i y_ii.
     """
     _common_dim(start, observable)
-    if not (np.isfinite(step) and step > 0.0):
-        raise StepInvalid(f"step must be positive and finite, got {step!r}")
-    if not np.isfinite(lambda_end):
-        raise StepInvalid(f"lambda_end must be finite, got {lambda_end!r}")
+    step = float(_reals(step, "step", StepInvalid, ()))
+    if not step > 0.0:
+        raise StepInvalid(f"step must be positive, got {step!r}")
+    lambda_end = float(_reals(lambda_end, "lambda_end", StepInvalid, ()))
 
-    length = abs(float(lambda_end))
+    length = abs(lambda_end)
     sign = 1.0 if lambda_end >= 0.0 else -1.0
     ratio = length / step
     if not ratio <= MAX_STEPS:  # an infinite ratio too
@@ -252,7 +253,7 @@ def integrate_flow(
                 lam = lams[infinite]
                 raise PositivityLoss(f"state at lambda {lam:.6g} is not finite; reduce the step")
             chain[0] = ys[-1]
-    return FlowTrajectory(observable=observable, samples=tuple(samples), step=float(step))
+    return FlowTrajectory(observable=observable, samples=tuple(samples), step=step)
 
 
 def closed_form_flow(
@@ -264,8 +265,7 @@ def closed_form_flow(
     the support of rho0, so only a state that is not representable raises Overflow.
     """
     _common_dim(start, observable)
-    if not np.isfinite(lam):
-        raise InputValidationError(f"lam must be finite, got {lam!r}")
+    lam = float(_reals(lam, "lam", shape=()))
     if lam == 0.0:
         return start
     w, v = eig_hermitian(observable)

@@ -39,6 +39,7 @@ from .operators import (
     _computed,
     _in_basis,
     _pairing,
+    _reals,
     eig_hermitian,
     expectation,
     hermitian_part,
@@ -74,17 +75,15 @@ class TangentDecomposition:
     h: HermitianOperator
 
     def __post_init__(self) -> None:
-        dp = np.atleast_1d(np.asarray(self.dp, dtype=np.float64)).copy()
-        if dp.ndim != 1 or dp.size != self.h.dim:
+        dp = np.atleast_1d(_reals(self.dp, "dp", NotTraceless)).copy()
+        if dp.size != _common_dim(self.h) or dp.ndim != 1:
             raise DimMismatch(f"dp length {dp.size} != generator dim {self.h.dim}")
-        if not np.isfinite(dp).all() or not np.isfinite(self.dtheta):
-            raise NotTraceless("dp and dtheta must be finite")
         total = abs(float(dp.sum()))
         if total > TRACELESS_TOL * max(1.0, float(np.abs(dp).max())):
             raise NotTraceless(f"eigenvalue shifts sum to {total:.3e}, expected 0")
         dp.setflags(write=False)
         object.__setattr__(self, "dp", dp)
-        object.__setattr__(self, "dtheta", float(self.dtheta))
+        object.__setattr__(self, "dtheta", float(_reals(self.dtheta, "dtheta", NotTraceless, ())))
 
 
 def _finite(value, what: str):
@@ -187,6 +186,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
 
 def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The observable recentered to zero mean: A - <A> 1."""
+    _common_dim(state, observable)
     with np.errstate(over="ignore", invalid="ignore"):
         out = observable.entries - expectation(state, observable) * np.eye(state.dim)
     return _operator(out, "A - <A> 1")

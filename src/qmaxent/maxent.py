@@ -85,6 +85,7 @@ from .operators import (
     _eigvalsh,
     _in_basis,
     _measured_density,
+    _reals,
     _tilt,
     _tilt_support,
     hermitian_part,
@@ -190,11 +191,9 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         observables = tuple(self.observables)
-        targets = np.atleast_1d(np.asarray(self.targets, dtype=np.float64)).copy()
+        targets = np.atleast_1d(_reals(self.targets, "targets")).copy()
         if targets.ndim != 1 or len(observables) != targets.size:
             raise DimMismatch(f"{len(observables)} observables but targets shaped {targets.shape}")
-        if not np.isfinite(targets).all():
-            raise InputValidationError("targets must be finite")
         if self.dim is None:
             if not observables:
                 raise DimMismatch("dimension required when no observables are given")
@@ -334,13 +333,11 @@ def _evaluated(multipliers, coords: np.ndarray, targets: np.ndarray | None = Non
     Without ``targets`` (partition_function, gibbs_state) lam . t = 0 and the value is log Z,
     which is infinite or NaN only when sum_k lam_k A_k or its spectrum overflows.
     """
-    lam = np.atleast_1d(np.asarray(multipliers, dtype=np.float64))
+    lam = np.atleast_1d(_reals(multipliers, "multipliers"))
     if lam.ndim != 1:
         raise DimMismatch(f"{len(coords)} observables but multipliers shaped {lam.shape}")
     if lam.size != len(coords):
         raise DimMismatch(f"{lam.size} multipliers but {len(coords)} observables")
-    if not np.isfinite(lam).all():
-        raise InputValidationError("multipliers must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         point = _dual_point(lam, coords, np.zeros(lam.size) if targets is None else targets)
     if np.isfinite(point[0]):
@@ -669,8 +666,8 @@ def classical_gibbs_oracle(
     is; ``solve_prior_tilt`` runs the same iteration at m = 1.
     """
     _check_controls(tol, max_iter)
-    w = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-    if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
+    w = np.atleast_1d(_reals(weights, "weights"))
+    if w.ndim != 1 or w.size == 0:
         raise InputValidationError("weights must be a nonempty finite vector")
     if w.min() < -1e-12:
         raise InputValidationError(
@@ -679,8 +676,8 @@ def classical_gibbs_oracle(
     w = np.maximum(w, 0.0)
     if abs(w.sum() - 1.0) > 1e-10:
         raise InputValidationError(f"weights must sum to 1, got {float(w.sum())!r}")
-    vals = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    t = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    vals = np.atleast_2d(_reals(values, "values and targets"))
+    t = np.atleast_1d(_reals(targets, "values and targets"))
     m = t.size
     if vals.shape != (m, w.size) and not (m == 0 and vals.size == 0):
         raise DimMismatch(
@@ -688,8 +685,6 @@ def classical_gibbs_oracle(
         )
     if m == 0:
         return w.copy()
-    if not np.isfinite(vals).all() or not np.isfinite(t).all():
-        raise InputValidationError("values and targets must be finite")
 
     support = w > 0.0
     vs = vals[:, support]

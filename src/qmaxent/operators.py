@@ -4,7 +4,7 @@ Everything in this package works on small dense complex matrices held in
 one fixed computational basis.  This module provides the two value types, judged
 as outside input by their constructors and wrapped as computed results by ``_computed``,
 eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
-expectation values and a couple of norms.
+expectation values, a couple of norms and ``_reals``, the one judge of caller numbers.
 
 Exponents are shifted, never refused in advance: Overflow means that a
 returned value would not be finite.
@@ -81,13 +81,11 @@ def hermitian_part(matrix: np.ndarray) -> np.ndarray:
 
 
 def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    """(M + M†)/2 once M is finite and max|M - M†| <= tol * max(1, its largest |Re| or |Im|).
+    """(M + M†)/2 of a finite M once max|M - M†| <= tol * max(1, its largest |Re| or |Im|).
 
     The package's one Hermiticity rule, relative above unit scale since rounding grows with
     scale.  The scale reads the parts, whose moduli cannot overflow to an infinite margin.
     """
-    if not np.isfinite(m).all():
-        raise InputValidationError("matrix entries must be finite")
     with np.errstate(over="ignore"):  # an asymmetry beyond double range is inf, and refused
         asymmetry = float(np.abs(m - m.conj().T).max())
     bound = tol * max(1.0, float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
@@ -120,8 +118,8 @@ def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """A dense complex square matrix equal to its conjugate transpose.
 
-    Construction refuses non-finite entries and an asymmetry max|M - M†| above
-    ``HERMITICITY_TOL`` * max(1, largest |Re M_ij| or |Im M_ij|), and stores (M + M†)/2.
+    Construction refuses a non-numeric dtype, non-finite entries and an asymmetry max|M - M†|
+    above ``HERMITICITY_TOL`` * max(1, largest |Re M_ij| or |Im M_ij|), and stores (M + M†)/2.
     """
 
     entries: np.ndarray
@@ -130,6 +128,10 @@ class HermitianOperator:
         m = np.asarray(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise NonSquare(f"expected a nonempty square matrix, got shape {m.shape}")
+        if m.dtype.kind not in "iufc":
+            raise InputValidationError(f"matrix entries must be numbers, got dtype {m.dtype}")
+        if not np.isfinite(m).all():
+            raise InputValidationError("matrix entries must be finite")
         sym = _hermitian(m.astype(np.complex128, copy=True), HERMITICITY_TOL)
         sym.setflags(write=False)
         object.__setattr__(self, "entries", sym)
@@ -193,6 +195,7 @@ def eig_hermitian(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     largest-magnitude component is made real and positive.  This keeps
     repeated runs byte-identical.
     """
+    _common_dim(operator)
     w, v = _eigh(operator.entries)
     w = w[::-1].astype(np.float64)
     v = np.array(v[:, ::-1], order="C")
@@ -261,7 +264,7 @@ def _tilt_support(
     """The set-up both tilt routes share: (w, V) of A, its support mask, and A's eigenvalues
     on the support.
 
-    Checks the dimensions and that ``target`` is finite, diagonalizes A once,
+    Checks the operands and judges ``target`` (``_reals``), diagonalizes A once,
     and returns (w, V, support, a_s, d_s): the eigensystem, the mask of A's eigenvectors on
     the support of ``start`` (weight above ``SUPPORT_FLOOR``), which ``_tilt`` takes, and the
     eigenvalues of A there and the weights ``start`` gives them.  Tilting keeps the
@@ -270,8 +273,7 @@ def _tilt_support(
     already equals that constant.  ``role`` names the state in error messages.
     """
     _common_dim(start, observable)
-    if not np.isfinite(target):
-        raise InputValidationError("target must be finite")
+    target = float(_reals(target, "target", shape=()))
     w, v = eig_hermitian(observable)
     d = _weights(start, v)
     support = d > SUPPORT_FLOOR
@@ -293,17 +295,36 @@ def _tilt_support(
 
 
 def _common_dim(*operators, dim: int | None = None) -> int:
-    """The dimension all ``operators`` share, and ``dim`` too when given; else DimMismatch."""
+    """The one dimension of ``operators``, each a HermitianOperator, and of ``dim`` if given."""
+    if not all(isinstance(op, HermitianOperator) for op in operators):
+        raise InputValidationError("operands must be HermitianOperators or DensityOperators")
     dims = [op.dim for op in operators] if dim is None else [dim, *(op.dim for op in operators)]
     if dims.count(dims[0]) != len(dims):
         raise DimMismatch(f"operand dimensions differ: {', '.join(map(str, dims))}")
     return dims[0]
 
 
+def _reals(raw, name: str, error: type[InputValidationError] = InputValidationError, shape=None):
+    """``raw`` as float64 of ``shape`` (None: any): finite ints or floats, not bools, else ``error``."""
+    try:
+        entries = np.asarray(raw, dtype=object).ravel()
+        for x in () if set(map(type, entries)) <= {int, float} else entries:  # scan on a bad type
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise error(f"{name} entries must be numbers, got {x!r}")
+        a = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} is not a numeric array: {exc}") from exc
+    if shape is not None and a.shape != shape:
+        raise error(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise error(f"{name} must be finite, got {float(a[~np.isfinite(a)][0])!r}")
+    return a
+
+
 def _check_controls(tol: float, max_iter: int) -> None:
     """Refuse solver controls other than a finite ``tol`` > 0 and an integer ``max_iter`` >= 1."""
-    if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0.0):
-        raise InputValidationError(f"tol must be positive and finite, got {tol!r}")
+    if not _reals(tol, "tol", shape=()) > 0.0:
+        raise InputValidationError(f"tol must be positive, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) or max_iter < 1:
         raise InputValidationError(f"max_iter must be an integer of at least 1, got {max_iter!r}")
 

@@ -1,6 +1,7 @@
 """The package runs on numpy alone, holds no unused import and no unread private name,
 keeps its oracles independent of the routes they check, builds each frozen object by one
-constructor and leaves the garbage collector to the console entry."""
+constructor, converts caller numbers in one module and leaves the garbage collector to the
+console entry."""
 
 from __future__ import annotations
 
@@ -222,6 +223,39 @@ def test_frozen_objects_built_only_by_their_constructors():
     package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _construction_bypasses(sources) == []
+
+
+def _asarray_calls(sources: dict[str, str]) -> list[str]:
+    """Calls of ``asarray`` (``np.asarray`` or an imported name) outside ``operators.py``, whose
+    ``_reals`` alone judges caller numbers and whose constructors alone judge matrices.
+    ``sources`` maps module file names to their text."""
+    found = []
+    for module, source in sources.items():
+        if module == "operators.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "asarray")
+                or (isinstance(node.func, ast.Name) and node.func.id == "asarray")
+            ):
+                found.append(f"{module}: asarray (line {node.lineno})")
+    return found
+
+
+def test_asarray_call_detection():
+    sources = {
+        "operators.py": "import numpy as np\ndef _reals(raw):\n    return np.asarray(raw)\n",
+        "maxent.py": "import numpy as np\nx = np.asarray([1.0])\ny = np.array([1.0])\n",
+        "flow.py": "from numpy import asarray\nz = asarray(0.5)\n",
+    }
+    assert _asarray_calls(sources) == ["maxent.py: asarray (line 2)", "flow.py: asarray (line 2)"]
+
+
+def test_caller_numbers_judged_only_in_operators():
+    # every caller number reaches the package through operators._reals, one rule in one home
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _asarray_calls(sources) == []
 
 
 def _gc_references(sources: dict[str, str]) -> list[str]:

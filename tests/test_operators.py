@@ -123,6 +123,14 @@ class TestMakeHermitian:
         with pytest.raises(NonSquare):
             make_hermitian(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("raw", [[["a"]], [[None]], [["1"]], np.eye(2, dtype=bool)])
+    def test_non_numeric_dtype_rejected(self, raw):
+        # strings, objects and bools are refused by dtype, before any conversion to complex
+        with pytest.raises(qm.InputValidationError, match="matrix entries must be numbers"):
+            make_hermitian(raw)
+        with pytest.raises(qm.InputValidationError, match="matrix entries must be numbers"):
+            qm.DensityOperator(np.asarray(raw))
+
     def test_entries_read_only(self):
         op = make_hermitian(SIGMA_X)
         with pytest.raises(ValueError):
