@@ -38,6 +38,7 @@ from .operators import (
     _common_dim,
     _computed,
     _in_basis,
+    _instance,
     _pairing,
     _reals,
     eig_hermitian,
@@ -164,7 +165,7 @@ def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     metric_vectors on the assembled direction.  Its diagonal is the classical term, the rest
     the rotation term, whose T_jk vanish inside degenerate eigenvalue blocks.
     """
-    _common_dim(state, d.h)
+    _common_dim(state, _instance(d, TangentDecomposition, "d").h)
     p, _, kernel = _lowering_kernel(state)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float((np.abs(_tangent_in_basis(p, d)) ** 2 * kernel).sum())
@@ -177,7 +178,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     Combines the diagonal eigenvalue shifts with the first-order effect of
     the infinitesimal rotation exp(i dtheta h) on the eigenbasis.
     """
-    _common_dim(state, d.h)
+    _common_dim(state, _instance(d, TangentDecomposition, "d").h)
     p, v = eig_hermitian(state)
     with np.errstate(over="ignore", invalid="ignore"):
         out = v @ _tangent_in_basis(p, d) @ v.conj().T

@@ -13,17 +13,21 @@ whose gradient is t_j - <A_j>_{rho(lam)} and whose Hessian is the Kubo-Mori
 metric at rho(lam).  One evaluation of this family, ``_dual_point``, is the only
 code that diagonalizes sum_k lam_k A_k and turns its spectrum into log Z, rho(lam)
 and <A_j>; ``partition_function``, ``gibbs_state``, ``dual_objective`` and
-``solve_maxent`` all read it.  ``solve_maxent`` runs Newton's method with Armijo
-backtracking from lam = 0, where all of these are known in closed form: the
+``solve_maxent`` all read it.  ``solve_maxent`` runs Newton's method with a line
+search from lam = 0, where all of these are known in closed form: the
 state I/n, log Z = log n, <A_j> = tr(A_j)/n, and the Hessian Gram/n (Gram of
 the traceless parts), so the first step, -n Gram^-1 g, needs no
 eigendecomposition.  Later Newton systems are solved by conjugate gradients on
 Hessian-vector products in the dual evaluation's eigenbasis, preconditioned
 with n Gram^-1 and stopped once the linearized gradient is within a tenth of
-the tolerance.  The line search also accepts a step whose gradient already
-meets the tolerance, since rounding in the dual value can outweigh the Armijo
-decrease there.  The estimate V diag(p) V^dag and its entropy come from the last
-dual evaluation, and so does its positivity: its spectrum is p >= 0 up to O(n eps),
+the tolerance.  With phi(t) the dual value at lam + t d, the line search accepts a step
+whose gradient meets the tolerance or that makes the Armijo decrease; within the value's
+rounding, 1e-14 max(1, |phi(0)|), of that decrease it needs |phi'(t)| <= 0.9 |phi'(0)|
+too (strong Wolfe), as phi'(t) = g(lam + t d) . d still shows an overshoot there.  A
+refused t becomes the secant root of phi' on [0, t], kept within [t/10, t/2] (Nocedal &
+Wright, Numerical Optimization, 2006, sections 3.1 and 3.5).  The estimate
+V diag(p) V^dag and its entropy come from the last dual evaluation, and so does its
+positivity: its spectrum is p >= 0 up to O(n eps),
 so no second eigendecomposition judges it, nor ``gibbs_state``'s.  Every state has
 tr(rho sum_k lam_k A_k) >= w_min, its smallest eigenvalue, and one meeting the
 targets has it equal to lam . t, so lam . t < w_min (a separating hyperplane)
@@ -36,11 +40,12 @@ interlacing so do the eigenvalues of every 2x2 principal submatrix.  So
 ``ConstraintSet`` climbs a ladder of certificates, each run only on the targets that
 the rung before leaves outside its range or within 1e-10 ||A||_F (far above rounding
 and LAPACK's error) of its ends: the diagonal; the O(n) pairs of the smallest or
-largest diagonal entry; eigvalsh.  Each A_k is held as its n^2 real coordinates
-c(A_k), whose layout this module alone defines (``_layout``): the diagonal, then the
-real and imaginary parts of the strict upper triangle.  sum_k x_k A_k is x . c(A)
-unpacked once, tr(A_k Y) = c(A_k) . c(Y) with Y's off-diagonal coordinates doubled
-(``_dual``), and the first n coordinates sum to tr A_k.
+largest diagonal entry; eigvalsh of the unpacked coordinates.  Each A_k is held as its
+n^2 real coordinates c(A_k), whose layout this module alone defines (``_layout``): the
+diagonal, then the real and imaginary parts of the strict upper triangle.  They are
+packed once per set, with their squared norms ||A_k||_F^2, and every later check reads
+only them.  sum_k x_k A_k is x . c(A) unpacked once, tr(A_k Y) = c(A_k) . c(Y) with Y's
+off-diagonal coordinates doubled (``_dual``), and the first n coordinates sum to tr A_k.
 Exponents are shifted, so Overflow means that sum_k lam_k A_k, Z or the dual value
 is not finite.
 
@@ -84,7 +89,9 @@ from .operators import (
     _eigh,
     _eigvalsh,
     _in_basis,
+    _instance,
     _measured_density,
+    _operands,
     _reals,
     _tilt,
     _tilt_support,
@@ -181,8 +188,10 @@ class ConstraintSet:
     rejected rather than regularized.  ``dim``, an integer of at least 1, may be given
     explicitly, which is required when there are no observables at all.  A target on
     the boundary of its spectral range is accepted here and refused by
-    ``solve_maxent``.  Every check and dual evaluation reads one read-only
-    (m, n^2) float64 array of the observables' real coordinates.
+    ``solve_maxent``.  The observables are packed once into a read-only (m, n^2)
+    float64 array of their real coordinates, whose rows' squared norms are computed once
+    beside it; every check, including ``entropy_sensitivity``'s of shifted targets, and
+    every dual evaluation reads only these.
     """
 
     observables: tuple[HermitianOperator, ...]
@@ -190,7 +199,7 @@ class ConstraintSet:
     dim: int | None = None
 
     def __post_init__(self) -> None:
-        observables = tuple(self.observables)
+        observables = _operands(self.observables)
         targets = np.atleast_1d(_reals(self.targets, "targets")).copy()
         if targets.ndim != 1 or len(observables) != targets.size:
             raise DimMismatch(f"{len(observables)} observables but targets shaped {targets.shape}")
@@ -201,32 +210,30 @@ class ConstraintSet:
             raise DimMismatch(f"dim must be an integer of at least 1, got {self.dim!r}")
         dim = _common_dim(*observables, dim=self.dim)
         coords = _coordinates(observables, dim)
-        squares = self._squares(coords, dim)
-        boundary = self._judge(observables, coords, targets, squares)
-        precond = self._check_independent(coords, dim, squares, observables)
-        coords.setflags(write=False)
-        targets.setflags(write=False)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
+            # each row's ||A_k||_F^2: tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off
+            off = coords[:, dim:]
+            squares = np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
+        boundary = self._judge(coords, targets, squares)
+        precond = self._check_independent(coords, dim, squares)
+        for array in (coords, squares, targets):
+            array.setflags(write=False)
         object.__setattr__(self, "observables", observables)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "_boundary", boundary)  # solve_maxent raises it unless None
-        # the observables' (m, n^2) coordinates and n Gram^-1 of their traceless parts,
-        # (m, m), both empty when m = 0, for dual_objective and solve_maxent
+        # the observables' (m, n^2) coordinates, their rows' squared norms (m,) and n Gram^-1
+        # of their traceless parts, (m, m), all empty when m = 0, for every later check and solve
         object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_squares", squares)
         object.__setattr__(self, "_precond", precond)
 
     @staticmethod
-    def _squares(coords: np.ndarray, n: int) -> np.ndarray:
-        """Each row's ||A_k||_F^2: tr(A B) = c(A) . c(B) + c(A)_off . c(B)_off."""
-        off = coords[:, n:]
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing bounds certify nothing
-            return np.einsum("ki,ki->k", coords, coords) + np.einsum("ki,ki->k", off, off)
-
-    @staticmethod
-    def _judge(observables, coords, targets, squares) -> str | None:
+    def _judge(coords, targets, squares) -> str | None:
         """The first boundary target's refusal, or None, after Infeasible for the first
-        target outside its observable's spectral range, by the ladder of certificates: the
-        diagonal, the pivot pairs of each end it leaves undecided, then eigvalsh."""
+        target outside its observable's spectral range, by the ladder of certificates on the
+        coordinates: the diagonal, the pivot pairs of each end it leaves undecided, then
+        eigvalsh of the unpacked row."""
         with np.errstate(over="ignore", invalid="ignore"):
             margin = 1e-10 * np.sqrt(squares)  # ||A||_F >= ||A||_2 bounds LAPACK's error
             diag = coords[:, : isqrt(coords.shape[1])]
@@ -240,7 +247,7 @@ class ConstraintSet:
             uncertain = np.flatnonzero(~((lo + margin < targets) & (targets < hi - margin)))
         boundary = None
         for k in uncertain:
-            t, w = targets[k], _eigvalsh(observables[k].entries)
+            t, w = targets[k], _eigvalsh(_unpack(coords[k]))
             span = f"[{float(w[0])!r}, {float(w[-1])!r}]"
             if not (w[0] <= t <= w[-1]):
                 raise Infeasible(f"target {float(t)!r} outside the spectral range {span}")
@@ -252,25 +259,25 @@ class ConstraintSet:
         return boundary
 
     @staticmethod
-    def _check_independent(coords: np.ndarray, dim: int, squares: np.ndarray, observables):
+    def _check_independent(coords: np.ndarray, dim: int, squares: np.ndarray):
         """n G^-1, G the Gram matrix of the traceless parts, after a scale-free independence check.
 
         The check reads D^-1/2 G D^-1/2, D = diag G.  Rows of ``coords`` whose ||A_k||_F^2
         (``squares``) is outside (2^-800, 2^800), where G could overflow or underflow, are
         scaled in place to unit peak entry (a zero row by the smallest normal number), then
-        packed again from ``observables``.  G is refused when it, or n G^-1, is not finite.
+        put back from a copy.  G is refused when it, or n G^-1, is not finite.
         """
         extreme = np.flatnonzero(~((2.0**-800 < squares) & (squares < 2.0**800)))
-        scales = np.ones(len(coords))
-        scales[extreme] = np.abs(coords[extreme]).max(axis=1, initial=np.finfo(float).tiny)
-        coords[extreme] /= scales[extreme, None]
+        kept, scales = coords[extreme], np.ones(len(coords))  # the extreme rows, copied
+        scales[extreme] = np.abs(kept).max(axis=1, initial=np.finfo(float).tiny)
+        coords[extreme] = kept / scales[extreme, None]
         diag, off = coords[:, :dim], coords[:, dim:]
         centered = diag - diag.mean(axis=1, keepdims=True)
         inner = off @ off.T  # tr(B_k B_l): diagonals centered, off-diagonals counted twice
         inner *= 2.0
         inner += centered @ centered.T
         del centered  # one (m, n) array fewer at the peak of the checks below
-        coords[extreme] = _coordinates([observables[k] for k in extreme], dim)
+        coords[extreme] = kept
         norms = np.sqrt(inner.diagonal())
         if not norms.all():
             raise DependentConstraints(
@@ -349,6 +356,7 @@ def _evaluated(multipliers, coords: np.ndarray, targets: np.ndarray | None = Non
 
 def _canonical(multipliers, observables):
     """``_evaluated`` at lam . t = 0 of raw observables: partition_function's and gibbs_state's."""
+    observables = _operands(observables)
     if len(observables) == 0:
         raise DimMismatch("at least one observable is required")
     return _evaluated(multipliers, _coordinates(observables, _common_dim(*observables)))
@@ -412,6 +420,7 @@ def dual_objective(multipliers, constraints: ConstraintSet):
     The gradient vanishes exactly at the maximum-entropy multipliers.  log Z
     is evaluated after a shift; only a value that is not finite raises Overflow.
     """
+    constraints = _instance(constraints, ConstraintSet, "constraints")
     return _evaluated(multipliers, constraints._coords, constraints.targets)[:2]
 
 
@@ -449,19 +458,22 @@ def solve_maxent(
 ) -> MaxEntSolution:
     """Solve for the entropy-maximizing state subject to the constraints.
 
-    Minimizes the convex dual by Newton's method with Armijo backtracking
-    (shrink 0.5, slope 1e-4) from lam = 0, where the Newton step is known in
-    closed form; later steps are solved by conjugate gradients on the exact
+    Minimizes the convex dual by Newton's method from lam = 0, where the Newton step is
+    known in closed form; later steps are solved by conjugate gradients on the exact
     Hessian, preconditioned with its inverse at 0 and stopped once the linearized
-    constraint violation is at most ``tol / 10``.  A trial step is accepted when
-    it meets the Armijo rule or when its largest constraint violation is
-    already at most ``tol``, which is convergence.  Targets on or outside the
+    constraint violation is at most ``tol / 10``.  A trial step is accepted when its
+    largest constraint violation is already at most ``tol``, which is convergence, when
+    it meets the Armijo rule (slope 1e-4), or when it meets that rule only up to the
+    dual value's rounding and the slope along the step has shrunk to at most 0.9 of its
+    start (strong Wolfe); otherwise the step is shortened to the secant root of that
+    slope, within a tenth to a half of its length.  Targets on or outside the
     boundary of the achievable set are reported as Infeasible, either up front
     (target on the spectral boundary) or by a separating hyperplane: lam . t
     below w_min(sum_k lam_k A_k) (beyond rounding), a lower bound on
     tr(rho sum_k lam_k A_k) for every state, proves that none meets the targets.
     """
     _check_controls(tol, max_iter)
+    constraints = _instance(constraints, ConstraintSet, "constraints")
     if constraints._boundary is not None:
         raise Infeasible(constraints._boundary)
     return _newton(constraints, constraints.targets, tol, max_iter)
@@ -494,17 +506,22 @@ def _newton(
             direction = _newton_direction(hessian, gradient, precond, tol)
         else:
             direction = -(precond @ gradient)
-        slope = float(gradient @ direction)
+        slope = float(gradient @ direction)  # phi'(0), phi(t) the dual value at lam + t d
         # small cushion absorbs ties at the resolution of the dual value
         cushion = 1e-14 * max(1.0, abs(value))
         t = 1.0
         while True:
             trial = lam + t * direction
             point = _dual_point(trial, coords, targets)  # value, gradient, state, log Z, eig
-            # near the optimum the value's rounding can exceed the cushion; tol then suffices
-            if point[0] <= value + ARMIJO_SLOPE * t * slope + cushion or abs(point[1]).max() <= tol:
+            armijo, curve = value + ARMIJO_SLOPE * t * slope, float(point[1] @ direction)
+            # within the cushion the value's rounding can hide an overshoot, but phi'(t) = curve
+            # cannot: the strong Wolfe curvature test decides there; tol suffices near the optimum
+            if point[0] <= armijo or abs(point[1]).max() <= tol or (
+                point[0] <= armijo + cushion and abs(curve) <= 0.9 * abs(slope)
+            ):
                 break
-            t *= ARMIJO_SHRINK
+            # the secant root of phi' on [0, t], kept within [t/10, t/2]
+            t = min(max(t * slope / (slope - curve), t / 10), t / 2) if curve > slope else t / 10
             if t < 1e-20:
                 raise MaxIterExceeded(
                     "line search stalled before reaching the requested tolerance"
@@ -541,14 +558,14 @@ def entropy_sensitivity(
     Newton core on the set's coordinates and preconditioner.
     """
     _check_controls(tol, max_iter)
-    c = constraints
-    squares, out = c._squares(c._coords, c.dim), np.zeros(c.m)
+    c = _instance(constraints, ConstraintSet, "constraints")
+    out = np.zeros(c.m)
     for j in range(c.m):
         values = []
         for sign in (1.0, -1.0):
             targets = c.targets.copy()
             targets[j] += sign * SENSITIVITY_STEP
-            boundary = c._judge(c.observables, c._coords, targets, squares)
+            boundary = c._judge(c._coords, targets, c._squares)
             if boundary is not None:
                 raise Infeasible(boundary)
             values.append(_newton(c, targets, tol, max_iter).s_max)

@@ -294,6 +294,21 @@ def _tilt_support(
     return w, v, support, a_s, d[support]
 
 
+def _instance(value, cls: type, name: str):
+    """``value`` once it is a ``cls``, else InputValidationError naming the slot."""
+    if not isinstance(value, cls):
+        raise InputValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _operands(observables) -> tuple:
+    """The items of an iterable ``observables``, each judged later by ``_common_dim``."""
+    try:
+        return tuple(observables)
+    except TypeError as exc:
+        raise InputValidationError(f"observables must be a sequence of operators: {exc}") from exc
+
+
 def _common_dim(*operators, dim: int | None = None) -> int:
     """The one dimension of ``operators``, each a HermitianOperator, and of ``dim`` if given."""
     if not all(isinstance(op, HermitianOperator) for op in operators):

@@ -168,6 +168,45 @@ class TestConstraintSet:
         for k, a in enumerate(observables):
             assert _unpack(cs._coords[k]).tobytes() == a.entries.tobytes()
 
+    def test_extreme_rows_packed_once(self, rng, monkeypatch):
+        # ||A||_F^2 below 2^-800 (1e-140, 1e-125) or above 2^800 (1e130, 1e150): the independence
+        # check scales those rows in place and puts back its copy, packing nothing again
+        calls = []
+        coordinates = qmaxent.maxent._coordinates
+        monkeypatch.setattr(
+            qmaxent.maxent, "_coordinates", lambda *a: calls.append(a) or coordinates(*a)
+        )
+        for n, scales in ((5, (1e-140, 1.0, 1e150)), (3, (1e-125, 1e130)), (6, (1e-140,) * 3)):
+            observables = tuple(rand_hermitian(rng, n, scale) for scale in scales)
+            cs = ConstraintSet(observables, [np.trace(a.entries).real / n for a in observables])
+            squares = np.array([np.sum(np.abs(a.entries) ** 2) for a in observables])
+            assert ((squares < 2.0**-800) | (squares > 2.0**800)).any()
+            assert cs._coords.tobytes() == coordinates(observables, n).tobytes()
+        assert len(calls) == 3  # one packing per set
+
+    def test_unpacked_rows_are_the_entries(self, rng):
+        def spectral(n, w):
+            v = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            return make_hermitian((v * w) @ v.conj().T)
+
+        operators = [rand_hermitian(rng, n) for n in (1, 2, 5, 8)] + [
+            spectral(4, [1.0, 1.0, 0.0, 0.0]),  # a projector: two doubly degenerate eigenvalues
+            spectral(6, [2.0] * 5 + [-1.0]),
+            spectral(3, [0.0, 0.0, 3.0]),  # rank one
+            make_hermitian(np.diag([1.0, 1.0, -2.0, 1.0])),
+            make_hermitian(np.eye(4)),
+            make_hermitian(np.zeros((3, 3))),
+            make_hermitian(np.ones((3, 3))),
+        ]
+        for a in operators:
+            assert _unpack(_coordinates((a,), a.dim)[0]).tobytes() == a.entries.tobytes()
+        # the coordinates keep no sign of zero: -0.0 entries, made from a caller's negative
+        # zeros, come back as +0.0 with the same spectrum
+        a = make_hermitian(-np.eye(3))
+        back = _unpack(_coordinates((a,), 3)[0])
+        assert back.tobytes() == (a.entries + 0.0).tobytes()
+        assert np.linalg.eigvalsh(back).tobytes() == np.linalg.eigvalsh(a.entries).tobytes()
+
     def test_one_constraint_buffer(self, rng):
         for n, m in ((32, 30), (32, 30), (32, 30), (64, 40), (64, 40), (64, 40)):
             observables = tuple(rand_hermitian_radius(rng, n, 1.0) for _ in range(m))
@@ -243,7 +282,7 @@ class TestConstraintSet:
             inside = np.array([w[0], w[-1]]) + np.array([1e-9, -1e-9]) * np.abs(w).max()
             squares = np.full(2, np.sum(np.abs(a.entries) ** 2))
             eig_calls.clear()
-            assert ConstraintSet._judge((a, a), _coordinates((a, a), 6), inside, squares) is None
+            assert ConstraintSet._judge(_coordinates((a, a), 6), inside, squares) is None
             assert not eig_calls["eigvalsh"]
         # pairs i < j alone enter |a_ij|: with i = j, sigma_z's pairs would span [-2, 2]
         for target in (1.0, -1.0, 1.0 - 1e-12, 1.5):
@@ -535,27 +574,19 @@ class TestSolveMaxEnt:
 
     def test_one_decomposition_per_evaluation(self, rng, eig_calls, monkeypatch):
         constraints = gibbs_instance(rng, 16, 20, 0.5)  # before the count: gibbs_state evaluates too
-        counts = {"evaluations": 0, "backtracks": 0}
+        counts = {"evaluations": 0}
         dual_point = qmaxent.maxent._dual_point
 
         def counted_point(*args):
             counts["evaluations"] += 1
             return dual_point(*args)
 
-        class CountedShrink(float):
-            # t *= ARMIJO_SHRINK tries this reflected product first: once per backtrack
-            def __rmul__(self, other):
-                counts["backtracks"] += 1
-                return other * float(self)
-
-        shrink = CountedShrink(qmaxent.maxent.ARMIJO_SHRINK)
         monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
-        monkeypatch.setattr(qmaxent.maxent, "ARMIJO_SHRINK", shrink)
         eig_calls.clear()
         sol = solve_maxent(constraints)
-        # none at lam = 0: every evaluation is an accepted step or a backtrack
+        # none at lam = 0, and this traffic never backtracks: one evaluation per accepted step
         assert eig_calls["eigh"] == counts["evaluations"]
-        assert counts["evaluations"] == sol.iterations + counts["backtracks"]
+        assert counts["evaluations"] == sol.iterations
 
     def test_conjugate_gradients_stop_at_the_tolerance(self, rng, monkeypatch):
         instances = [gibbs_instance(rng, 16, 20, 0.5) for _ in range(4)]  # gibbs_state evaluates too
@@ -603,24 +634,37 @@ class TestSolveMaxEnt:
     def test_overlong_direction_backtracks(self, rng, monkeypatch):
         constraints = gibbs_instance(rng, 8, 10, 0.5)
         expected = solve_maxent(constraints)
-        counts = {"backtracks": 0}
-        direction = qmaxent.maxent._newton_direction
+        counts = {"evaluations": 0}
+        direction, dual_point = qmaxent.maxent._newton_direction, qmaxent.maxent._dual_point
 
-        class CountedShrink(float):
-            # t *= ARMIJO_SHRINK tries this reflected product first: once per backtrack
-            def __rmul__(self, other):
-                counts["backtracks"] += 1
-                return other * float(self)
+        def counted_point(*args):
+            counts["evaluations"] += 1
+            return dual_point(*args)
 
-        # five times the CG step is refused at t = 1 and 1/2 and met near t = 1/4; tol 1e-6 keeps
-        # the Armijo rule above the value's rounding cushion, below which such a direction
-        # stalls near a residual of 1e-8
+        # five times the CG step is refused at t = 1 and met near t = 1/5, also below a residual
+        # of 1e-8, where the value's rounding hides the overshoot; each refusal costs one dual
+        # evaluation beyond the one per iteration (none at lam = 0)
         monkeypatch.setattr(qmaxent.maxent, "_newton_direction", lambda *a: 5.0 * direction(*a))
-        monkeypatch.setattr(qmaxent.maxent, "ARMIJO_SHRINK", CountedShrink(0.5))
-        sol = solve_maxent(constraints, tol=1e-6)
+        monkeypatch.setattr(qmaxent.maxent, "_dual_point", counted_point)
+        sol = solve_maxent(constraints, tol=1e-10)
+        counts["backtracks"] = counts["evaluations"] - sol.iterations
         assert counts["backtracks"] >= sol.iterations - 1 > 0
-        assert sol.residual <= 1e-6
+        assert sol.residual <= 1e-10
         assert trace_distance(sol.estimate, expected.estimate) <= 1e-6
+
+    @pytest.mark.parametrize("factor", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("n, m", [(4, 3), (8, 10)])
+    def test_overlong_direction_meets_a_tight_tolerance(self, rng, monkeypatch, n, m, factor):
+        # below a residual of about 1e-8 an overshoot changes the dual value by less than its
+        # rounding cushion; the curvature test refuses it there and the secant step shortens it
+        instances = [gibbs_instance(rng, n, m, 0.5) for _ in range(5)]
+        expected = [solve_maxent(constraints) for constraints in instances]
+        direction = qmaxent.maxent._newton_direction
+        monkeypatch.setattr(qmaxent.maxent, "_newton_direction", lambda *a: factor * direction(*a))
+        for constraints, reference in zip(instances, expected):
+            sol = solve_maxent(constraints, tol=1e-10)
+            assert sol.residual <= 1e-10
+            assert trace_distance(sol.estimate, reference.estimate) <= 1e-8
 
     def test_ascent_direction_stalls_the_line_search(self, rng, monkeypatch):
         constraints = gibbs_instance(rng, 8, 10, 0.5)

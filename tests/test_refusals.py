@@ -76,18 +76,9 @@ RECORDS = {
 }
 
 # (name, slot): why the slot is outside the rule; a slot is a position or a keyword
-SEQUENCE = "a sequence of operators: a non-iterable escapes untyped, out of scope here"
 EXEMPT = {
     ("hermitian_part", 0): "an ndarray utility: (M + M^dag)/2 of any array, judging nothing",
     ("apply_spectral_function", 1): "a tag, whose ValueError test_unknown_tag pins",
-    ("ConstraintSet", 0): SEQUENCE,
-    ("gibbs_state", 1): SEQUENCE,
-    ("partition_function", 1): SEQUENCE,
-    ("dual_objective", 1): "a ConstraintSet: other objects escape untyped, out of scope here",
-    ("entropy_sensitivity", 0): "a ConstraintSet: other objects escape untyped, out of scope here",
-    ("solve_maxent", 0): "a ConstraintSet: other objects escape untyped, out of scope here",
-    ("assemble_tangent", 1): "a TangentDecomposition: other objects escape untyped, out of scope",
-    ("line_element", 1): "a TangentDecomposition: other objects escape untyped, out of scope",
 }
 # (name, slot): a probe that is a valid value of that slot, and why
 ACCEPTED = {("ConstraintSet", "dim"): (None, "None is dim's default: the observables' dimension")}
