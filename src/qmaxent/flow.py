@@ -282,11 +282,11 @@ def flow_to_constraint(
 ) -> tuple[float, DensityOperator]:
     """Follow the closed-form flow until <A> reaches ``target``.
 
-    Returns (lam, state) with |tr(state A) - target| <= tol.  The mean is
-    strictly decreasing along the flow, so the crossing parameter is
-    bracketed by doubling, whose end is returned once its mean is within ``tol``,
-    and then isolated by the Illinois variant of regula falsi (Dowell & Jarratt,
-    BIT 11 (1971) 168) on the matrix-valued closed form; A is diagonalized once.
+    Returns (lam, state) with |tr(state A) - target| <= tol; a start that meets the target
+    already is returned itself at lam 0.  The mean is strictly decreasing along the flow, so
+    the crossing parameter is bracketed by doubling, whose end is returned once its mean is
+    within ``tol``, and then isolated by the Illinois variant of regula falsi (Dowell &
+    Jarratt, BIT 11 (1971) 168) on the matrix-valued closed form; A is diagonalized once.
     ``max_iter`` bounds the root-finding steps after bracketing.  This is an
     independent route to the same state as the variational single-constraint tilt.
     """
@@ -296,8 +296,6 @@ def flow_to_constraint(
         return 0.0, start
     w, v, support = setup[:3]
     f0 = expectation(start, observable) - target
-    if abs(f0) <= tol:
-        return 0.0, start
 
     def offset(lam: float) -> tuple[float, DensityOperator]:
         state = _tilt(start, w, v, support, lam)

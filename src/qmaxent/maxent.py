@@ -138,7 +138,7 @@ def _unpack(c: np.ndarray) -> np.ndarray:
     """The Hermitian matrix of coordinates ``c``, one signed gather; Im a_ii is +0.0."""
     source, sign = _layout(isqrt(c.size))[1:]
     out = c[source] * sign
-    out += 0.0  # -0.0 becomes +0.0, as in entries made by hermitian_part
+    out += 0.0  # -0.0 becomes +0.0: the entries come back up to the sign of their zeros
     return out.view(np.complex128)
 
 
@@ -584,12 +584,12 @@ def solve_prior_tilt(
     """Tilt a prior state until one expectation value hits its target.
 
     Returns (lam, state) with state the symmetric exponential tilt of the
-    prior and |tr(state A) - target| <= tol.  In A's eigenbasis the mean is
+    prior and |tr(state A) - target| <= tol; a prior that meets the target already is
+    returned itself at lam 0, even at the end of the range.  In A's eigenbasis the mean is
     the classical tilted mean of A's eigenvalues a_i under the prior's weights
-    d_i = (V^dag rho0 V)_ii on its support, so lam is the one-constraint
-    classical multiplier, found by ``classical_gibbs_oracle``'s iteration
-    (``_classical_gibbs``).  Feasible targets lie strictly between the smallest and
-    largest eigenvalue of A that carries prior weight.
+    d_i = (V^dag rho0 V)_ii on its support, so lam is the one-constraint classical multiplier,
+    found by ``classical_gibbs_oracle``'s iteration (``_classical_gibbs``).  Other feasible
+    targets lie strictly between the smallest and largest eigenvalue of A with prior weight.
     """
     _check_controls(tol, max_iter)
     setup = _tilt_support(prior, observable, target, tol, "prior")
@@ -597,8 +597,6 @@ def solve_prior_tilt(
         return 0.0, prior
     w, v, support, a_s, d_s = setup
     lam = float(_classical_gibbs(d_s, a_s[None, :], np.array([target]), tol, max_iter)[0][0])
-    if lam == 0.0:
-        return 0.0, prior
     return lam, _tilt(prior, w, v, support, lam)
 
 
@@ -619,15 +617,15 @@ def _classical_gibbs(
 
     def point(mu):
         u = log_ws - mu @ us
-        q = np.exp(u - u.max())
+        q = np.exp(u - (top := u.max()))
         z = q.sum()
         p = q / z
         mean = us @ p
         centered = us - mean[:, None]
         hess = (centered * p) @ centered.T
-        return float(u.max() + np.log(z)), -mean, hess, p
+        return float(top + np.log(z)), -mean, hess, p
 
-    mu = np.zeros(m)  # mu_k = lam_k (hi_k - lo_k), lam the caller's multipliers
+    mu, eye = np.zeros(m), np.eye(m)  # mu_k = lam_k (hi_k - lo_k), lam the caller's multipliers
     value, gradient, hess, p = point(mu)
     for _ in range(max_iter):
         if abs(vs @ p / 2 - t / 2).max() <= tol / 2:  # sum_i p_i v_ki within tol of t_k
@@ -639,7 +637,7 @@ def _classical_gibbs(
                 "for every distribution; the targets are jointly unreachable"
             )
         nu = 1e-14 * float(np.trace(hess)) + float(np.linalg.norm(gradient) / (1.0 + abs(mu).max()))
-        direction = np.linalg.solve(hess + nu * np.eye(m), -gradient)
+        direction = np.linalg.solve(hess + nu * eye, -gradient)
         slope = float(gradient @ direction)
         cushion = 1e-14 * max(1.0, abs(value))
         step = 1.0
@@ -708,6 +706,8 @@ def classical_gibbs_oracle(
     lo, hi = vs.min(axis=1), vs.max(axis=1)
     for k in range(m):
         if not (lo[k] < t[k] < hi[k]):
+            if (abs(vals @ w - t) <= tol).all():  # the weights meet every target already
+                return w.copy()
             raise Infeasible(
                 f"target {float(t[k])!r} outside the open achievable interval "
                 f"({float(lo[k])!r}, {float(hi[k])!r})"

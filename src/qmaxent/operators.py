@@ -216,8 +216,8 @@ def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOpe
     below the floor counts as an exact zero, for which a bare logarithm is
     undefined.  A result with a non-finite entry raises Overflow.
     """
-    if f not in ("exp", "log"):
-        raise ValueError(f"unknown spectral function tag {f!r}; expected 'exp' or 'log'")
+    if not isinstance(f, str) or f not in ("exp", "log"):
+        raise InputValidationError(f"unknown spectral function tag {f!r}; expected 'exp' or 'log'")
     w, v = eig_hermitian(operator)
     if f == "log" and float(w[-1]) <= LOG_EIGENVALUE_FLOOR:
         raise DomainError(
@@ -261,19 +261,21 @@ def _tilt(
 def _tilt_support(
     start: DensityOperator, observable: HermitianOperator, target: float, tol: float, role: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The set-up both tilt routes share: (w, V) of A, its support mask, and A's eigenvalues
-    on the support.
+    """The set-up both tilt routes share, or None when the start already meets the target.
 
-    Checks the operands and judges ``target`` (``_reals``), diagonalizes A once,
-    and returns (w, V, support, a_s, d_s): the eigensystem, the mask of A's eigenvectors on
-    the support of ``start`` (weight above ``SUPPORT_FLOOR``), which ``_tilt`` takes, and the
-    eigenvalues of A there and the weights ``start`` gives them.  Tilting keeps the
-    mean strictly inside the interval a_s spans, so a target outside it raises
-    Infeasible.  Returns None when A is constant on the support and ``target``
-    already equals that constant.  ``role`` names the state in error messages.
+    Checks the operands and judges ``target`` (``_reals``); the package's one met-target rule,
+    |tr(start A) - target| <= ``tol``, comes before any refusal, and both routes then return
+    ``start`` itself at lam 0.  Else diagonalizes A once and returns (w, V, support, a_s, d_s):
+    the eigensystem, the mask of A's eigenvectors on the support of ``start`` (weight above
+    ``SUPPORT_FLOOR``), which ``_tilt`` takes, and the eigenvalues of A there and the weights
+    ``start`` gives them.  Tilting keeps the mean strictly inside the interval a_s spans, so
+    a target outside it, or an A constant on the support, raises Infeasible.  ``role`` names
+    the state in error messages.
     """
     _common_dim(start, observable)
     target = float(_reals(target, "target", shape=()))
+    if abs(expectation(start, observable) - target) <= tol:
+        return None
     w, v = eig_hermitian(observable)
     d = _weights(start, v)
     support = d > SUPPORT_FLOOR
@@ -281,8 +283,6 @@ def _tilt_support(
     lo, hi = float(a_s.min()), float(a_s.max())
     if hi - lo <= SUPPORT_FLOOR * max(abs(lo), abs(hi)):
         # observable is constant on the support: the mean never moves
-        if abs(target - lo) <= tol:
-            return None
         raise Infeasible(
             f"observable is constant ({lo!r}) on the {role}'s support; "
             f"target {target!r} unreachable"

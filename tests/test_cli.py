@@ -195,6 +195,22 @@ class TestTilt:
         else:
             assert '"lambda": 0.0' in out
 
+    def test_target_met_at_the_end_of_the_range(self, capsys, tmp_path):
+        # the prior's mean is within tol of A's top eigenvalue, the target: returned untilted
+        doc = {
+            "mode": "prior_tilt",
+            "observables": [operator_to_document(make_hermitian(np.diag([1.0, -1.0])))],
+            "prior": operator_to_document(make_hermitian(np.diag([1.0 - 1e-12, 1e-12]))),
+            "targets": [1.0],
+        }
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_captured(capsys, ["tilt", "--problem", str(path)])
+        assert code == 0
+        result = json.loads(out)
+        assert result["lambda"] == 0.0
+        assert abs(result["achieved"] - 1.0) <= 1e-10
+
 
 class TestFlow:
     def test_trajectory_and_csv(self, capsys, tmp_path):

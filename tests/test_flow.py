@@ -604,6 +604,17 @@ class TestFlowToConstraint:
         with pytest.raises(Infeasible, match=rf"constant \(1\.0\) on the {role}'s support"):
             route(prior, a, 0.5)
 
+    @pytest.mark.parametrize("route", [solve_prior_tilt, flow_to_constraint])
+    def test_target_met_at_the_end_of_the_range(self, route):
+        # the prior's mean is 2e-12 below A's top eigenvalue 1, which carries all but 1e-12
+        # of its weight: the target 1 lies at the end of the range, yet is met untilted
+        prior = make_density(np.diag([1.0 - 1e-12, 1e-12]))
+        lam, state = route(prior, SZ, 1.0)
+        assert lam == 0.0
+        assert state is prior
+        with pytest.raises(Infeasible, match="outside the open achievable interval"):
+            route(prior, SZ, 1.0, tol=1e-12)
+
     def test_iteration_limit(self, rng):
         prior = rand_density(rng, 4, min_eig=0.05)
         a = rand_hermitian_radius(rng, 4, 1.0)

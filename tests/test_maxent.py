@@ -941,6 +941,15 @@ class TestClassicalOracle:
             classical_gibbs_oracle([0.5, 0.5], [[1.0, -1.0]], [1.0])
 
     @pytest.mark.parametrize(
+        "weights, values", [([0.5, 0.5], [[1.0, 1.0]]), ([1 - 1e-13, 1e-13], [[1.0, -1.0]])]
+    )
+    def test_weights_that_meet_a_target_at_the_end_of_the_range(self, weights, values):
+        # no tilt moves the mean inside the open range, but the weights meet the target 1.0
+        # within tol as given
+        p = classical_gibbs_oracle(weights, values, [1.0], tol=1e-12)
+        assert np.array_equal(p, weights)
+
+    @pytest.mark.parametrize(
         "weights, values, error, message",
         [
             ([], [[]], InputValidationError, "nonempty finite vector"),

@@ -12,6 +12,7 @@ from qmaxent import (
     ConvergenceFailure,
     DimMismatch,
     DomainError,
+    InputValidationError,
     NonSquare,
     NotHermitian,
     NotPositive,
@@ -216,7 +217,7 @@ class TestSpectralFunctions:
             apply_spectral_function(make_hermitian(np.diag([1.0, 0.0])), "log")
 
     def test_unknown_tag(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputValidationError, match="unknown spectral function tag 'sqrt'"):
             apply_spectral_function(make_hermitian(SIGMA_Z), "sqrt")
 
     def test_exp_log_roundtrip(self, rng):

@@ -29,8 +29,9 @@ B = make_hermitian(SIGMA_X)
 CONSTRAINTS = ConstraintSet((A,), [0.2])
 DIRECTION = TangentDecomposition([0.1, -0.1], 0.2, B)
 
-# a string, nothing, a complex number, a list of strings, an array no slot accepts, a bool
-PROBES = ("x", None, 0.1 + 0.2j, ["a"], np.zeros((2, 2, 2)), True)
+# a string, nothing, a complex number, a list of strings, an array no slot accepts, a bool,
+# and a square matrix of NaNs, which reaches the matrix constructors' non-finite refusal
+PROBES = ("x", None, 0.1 + 0.2j, ["a"], np.zeros((2, 2, 2)), True, np.full((2, 2), np.nan))
 
 # name: (positional arguments, keyword arguments), every one of them accepted
 CALLS = {
@@ -78,7 +79,6 @@ RECORDS = {
 # (name, slot): why the slot is outside the rule; a slot is a position or a keyword
 EXEMPT = {
     ("hermitian_part", 0): "an ndarray utility: (M + M^dag)/2 of any array, judging nothing",
-    ("apply_spectral_function", 1): "a tag, whose ValueError test_unknown_tag pins",
 }
 # (name, slot): a probe that is a valid value of that slot, and why
 ACCEPTED = {("ConstraintSet", "dim"): (None, "None is dim's default: the observables' dimension")}
