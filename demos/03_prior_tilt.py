@@ -13,9 +13,11 @@ from qmaxent import (
     expectation,
     make_density,
     make_hermitian,
+    relative_entropy,
     solve_maxent,
     solve_prior_tilt,
     trace_distance,
+    von_neumann_entropy,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -29,6 +31,8 @@ print("lambda  :", lam, "(closed form: -ln 2 =", -np.log(2.0), ")")
 print("estimate:", np.round(np.diag(tilted.entries).real, 12))
 reference = solve_maxent(ConstraintSet((sz,), [0.6])).estimate
 print("trace distance to solve_maxent:", trace_distance(tilted, reference))
+print("S(estimate || prior):", relative_entropy(tilted, uniform))
+print("S(estimate) - ln 2  :", von_neumann_entropy(tilted) - np.log(2.0))
 
 print("\n== non-commuting prior: (I + 0.5 sigma_x)/2, target <sigma_z> = 0.6 ==")
 prior = make_density((np.eye(2) + 0.5 * X) / 2)
@@ -36,7 +40,16 @@ lam, tilted = solve_prior_tilt(prior, sz, 0.6)
 print("lambda  :", lam)
 print("estimate:\n", np.round(tilted.entries.real, 12))
 print("achieved <sigma_z>:", expectation(tilted, sz))
+print("S(estimate || prior):", relative_entropy(tilted, prior))
 print("the x-coherence of the prior survives the update (off-diagonal 0.2)")
+
+print("\n== a prior weight of 1e-13 lies on the support: diag(1 - 1e-13, 1e-13), target 0 ==")
+faint = make_density(np.diag([1 - 1e-13, 1e-13]))
+lam, tilted = solve_prior_tilt(faint, sz, 0.0)
+print("lambda  :", lam, "(closed form: ln(1e13 - 1) / 2 =", np.log(1e13 - 1) / 2, ")")
+print("estimate:", np.round(np.diag(tilted.entries).real, 12))
+print("S(estimate || prior):", relative_entropy(tilted, faint))
+print("finite: the update stays on the prior's support, whose rule relative_entropy shares")
 
 print("\n== a target the prior already satisfies costs nothing ==")
 lam, unchanged = solve_prior_tilt(prior, sz, 0.0)

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import SupportViolation
 from .operators import (
     LOG_EIGENVALUE_FLOOR,
+    SUPPORT_FLOOR,
     DensityOperator,
     _common_dim,
     _eigh,
@@ -22,8 +23,6 @@ from .operators import (
 )
 
 __all__ = ["von_neumann_entropy", "relative_entropy"]
-
-SUPPORT_TOL = 1e-12
 
 
 def _entropy_of_spectrum(p: np.ndarray) -> float:
@@ -44,17 +43,17 @@ def von_neumann_entropy(state: DensityOperator) -> float:
 def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
     """-tr[rho (log rho - log sigma)] in nats (nonpositive, maximized at rho = sigma).
 
-    Raises SupportViolation if ``state`` puts more than ``SUPPORT_TOL`` of
-    weight on the kernel of ``prior``, where the value would be -infinity.
+    Eigenvectors of ``prior`` with eigenvalue at or below ``SUPPORT_FLOOR`` lie outside its
+    support, by the prior updates' rule (``_tilt_support``); a weight of ``state`` above the
+    floor on any one of them (the value would be -infinity) raises SupportViolation.
     """
     _common_dim(state, prior)
     q, v = _eigh(prior.entries)
     overlaps = _weights(state, v)
-    kernel = q <= LOG_EIGENVALUE_FLOOR
-    kernel_weight = float(overlaps[kernel].sum())
-    if kernel_weight > SUPPORT_TOL:
+    kernel = q <= SUPPORT_FLOOR
+    if (overlaps[kernel] > SUPPORT_FLOOR).any():
         raise SupportViolation(
-            f"state has weight {kernel_weight:.3e} outside the prior's support"
+            f"state has weight {float(overlaps[kernel].sum()):.3e} outside the prior's support"
         )
     support = ~kernel
     cross = float((np.log(q[support]) * overlaps[support]).sum())

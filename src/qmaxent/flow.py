@@ -278,7 +278,7 @@ def flow_to_constraint(
     target: float,
     *,
     tol: float = 1e-10,
-    max_iter: int = 100,
+    max_iter: int = 500,
 ) -> tuple[float, DensityOperator]:
     """Follow the closed-form flow until <A> reaches ``target``.
 

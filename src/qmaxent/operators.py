@@ -5,6 +5,8 @@ one fixed computational basis.  This module provides the two value types, judged
 as outside input by their constructors and wrapped as computed results by ``_computed``,
 eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
 expectation values, a couple of norms and ``_reals``, the one judge of caller numbers.
+It also hosts the symmetric tilt and the set-up both prior updates share (``_tilt``,
+``_tilt_support``), with the support floor ``SUPPORT_FLOOR`` that ``relative_entropy`` applies too.
 
 Exponents are shifted, never refused in advance: Overflow means that a
 returned value would not be finite.
@@ -58,7 +60,8 @@ POSITIVITY_TOL = 1e-10
 LOG_EIGENVALUE_FLOOR = 1e-12
 
 # Weights of a state in an observable's eigenbasis at or below this floor lie
-# outside the state's support.
+# outside the state's support: the rule of the tilt routes (``_tilt_support``),
+# ``closed_form_flow`` and ``relative_entropy``, whose prior's eigenvalues are its weights.
 SUPPORT_FLOOR = 1e-14
 
 

@@ -15,7 +15,9 @@ from qmaxent import (
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
+    NotPositive,
     Overflow,
+    TraceNotOne,
     classical_gibbs_oracle,
     dual_objective,
     entropy_sensitivity,
@@ -953,8 +955,8 @@ class TestClassicalOracle:
         "weights, values, error, message",
         [
             ([], [[]], InputValidationError, "nonempty finite vector"),
-            ([1.5, -0.5], [[1.0, -1.0]], InputValidationError, "nonnegative, smallest is -0.5"),
-            ([0.45, 0.45], [[1.0, -1.0]], InputValidationError, "sum to 1, got 0.9"),
+            ([1.5, -0.5], [[1.0, -1.0]], NotPositive, "smallest eigenvalue -5.000e-01"),
+            ([0.45, 0.45], [[1.0, -1.0]], TraceNotOne, "trace is 0.9"),
             ([0.5, 0.5], [[1.0, -1.0, 0.0]], DimMismatch, r"values shape \(1, 3\)"),
             ([0.5, 0.5], [[1.0, np.nan]], InputValidationError, "values and targets must be"),
         ],
@@ -962,6 +964,13 @@ class TestClassicalOracle:
     def test_inputs_are_judged(self, weights, values, error, message):
         with pytest.raises(error, match=message):
             classical_gibbs_oracle(weights, values, [0.1])
+
+    def test_weights_that_diag_accepts_are_accepted(self):
+        # the density rule that make_density(np.diag(w)) applies; the -5e-11 weight is 0
+        weights = [0.5 + 5e-11, 0.5, -5e-11]
+        make_density(np.diag(weights))
+        p = classical_gibbs_oracle(weights, [[1.0, -1.0, 0.0]], [0.2])
+        assert np.abs(p - [0.6, 0.4, 0.0]).max() <= 1e-12 and p[2] == 0.0
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-8, 1e-200])
     def test_scale_free(self, scale):
