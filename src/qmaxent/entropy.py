@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import SupportViolation
 from .operators import (
-    LOG_EIGENVALUE_FLOOR,
     SUPPORT_FLOOR,
     DensityOperator,
     _common_dim,
@@ -26,8 +25,8 @@ __all__ = ["von_neumann_entropy", "relative_entropy"]
 
 
 def _entropy_of_spectrum(p: np.ndarray) -> float:
-    """-sum p log p with 0 log 0 = 0 over a numerically clamped spectrum."""
-    q = p[p > LOG_EIGENVALUE_FLOOR]
+    """-sum p log p over p > 0, so 0 log 0 = 0 and rounding's negative eigenvalues drop out."""
+    q = p[p > 0.0]
     s = float(-(q * np.log(q)).sum())
     # eigenvalues a hair above 1 can push the sum a hair below zero, and a
     # pure state sums to -0.0; both report +0.0

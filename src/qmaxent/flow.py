@@ -17,8 +17,9 @@ form itself, and bracketed root-finding (Illinois regula falsi) along the closed
 form to hit a target expectation value.  In A's eigenbasis an RK4 step multiplies
 every entry y_ij by a real factor F((a_i + a_j)/2) whose four stage means read the
 diagonal alone, so the integrator steps the diagonal as Python floats, forms a
-block of iterates with one factor product, and certifies the block positive by one
-batched Cholesky factorization, with a batched spectrum only where that fails.
+block of iterates with one factor product, and judges every iterate by the density
+rule, its positivity certified for the block by one batched Cholesky factorization,
+with a batched spectrum only where that fails.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from .operators import (
     _check_controls,
     _common_dim,
     _computed,
+    _density_rule,
     _eigh,
     _eigvalsh,
-    _measured_density,
     _reals,
     _tilt,
     _tilt_support,
@@ -66,7 +67,6 @@ __all__ = [
     "flow_to_constraint",
 ]
 
-POSITIVITY_LOSS_TOL = 1e-8
 MAX_STORED_SAMPLES = 1000
 MAX_STEPS = 10**6
 # steps per block, whose iterates are checked and recorded together
@@ -139,8 +139,9 @@ def _smallest_eigenvalues(ys: np.ndarray) -> np.ndarray:
     Cholesky of M = y + (POSITIVITY_TOL/2) I runs to completion only if M + E is positive
     definite for some ||E||_2 within about n^2 eps tr(M) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., Thm 10.3).  Where that is at most an eighth of the shift,
-    no y has an eigenvalue below -(9/8) POSITIVITY_TOL/2, so -POSITIVITY_TOL/2 passes every
-    check that the spectrum would.  Otherwise, or when the factorization fails, eigvalsh.
+    no y has an eigenvalue below -(9/8) POSITIVITY_TOL/2, so -POSITIVITY_TOL/2 passes the
+    density rule's positivity check wherever the spectrum would.  Otherwise, or when the
+    factorization fails, eigvalsh.
     """
     n, shift = ys.shape[-1], POSITIVITY_TOL / 2.0
     traces = ys.trace(axis1=1, axis2=2).real + n * shift
@@ -176,13 +177,12 @@ def integrate_flow(
     The iterates of each block of ``FLOW_BLOCK`` (64) steps, fewer for n > 32, are formed
     by one running product of the block's factors, and checked and recorded together: one
     finiteness test, one batched Cholesky factorization of the finite ones shifted by
-    POSITIVITY_TOL/2 (``_smallest_eigenvalues``), whose success certifies every check
-    below, else one batched spectrum, and one V y V† for the recorded ones.  A step too
-    coarse raises PositivityLoss at the first failing step, whose checks run in this order:
-    a non-finite iterate, an eigenvalue of y below -1e-8, or at a recorded step a state
-    V y V† failing the density rule on that spectrum and trace sum_i y_ii, whose failed
-    invariant it names.  About every ceil(n_steps/1000)-th step is recorded, plus the
-    endpoint, with mean sum_i a_i y_ii.
+    POSITIVITY_TOL/2 (``_smallest_eigenvalues``), else one batched spectrum, and one
+    V y V† for the recorded ones.  Each iterate is judged in step order: not finite, then
+    the density rule on its trace sum_i y_ii and smallest eigenvalue.  A step too coarse
+    raises PositivityLoss at the first failing step, naming the invariant it fails, so the
+    verdict does not depend on which steps are recorded.  About every
+    ceil(n_steps/1000)-th step is recorded, plus the endpoint, with mean sum_i a_i y_ii.
     """
     _common_dim(start, observable)
     step = float(_reals(step, "step", StepInvalid, ()))
@@ -226,32 +226,29 @@ def integrate_flow(
             count = len(lams)
             chain[1 : count + 1] = _factor(pair, *np.array(stages).T[..., None, None])
             ys = np.multiply.accumulate(chain[: count + 1], out=chain[: count + 1])[1:]
-            # the first failing step, in step order: not finite, then a negative eigenvalue
+            # the first failing step, in step order: not finite, then the density rule
             finite = np.isfinite(ys).all(axis=(1, 2))
-            stop = infinite = count if finite.all() else int(np.argmin(finite))
-            lows = _smallest_eigenvalues(ys[:infinite])
-            if (negative := np.flatnonzero(lows < -POSITIVITY_LOSS_TOL)).size:
-                stop = int(negative[0])
+            lows = _smallest_eigenvalues(ys[: count if finite.all() else int(np.argmin(finite))])
+            for i, lam in enumerate(lams):
+                if i == len(lows):
+                    raise PositivityLoss(
+                        f"state at lambda {lam:.6g} is not finite; reduce the step"
+                    )
+                try:
+                    _density_rule(sum(diagonals[i]), lambda: float(lows[i]))
+                except InputValidationError as exc:
+                    raise PositivityLoss(
+                        f"state at lambda {lam:.6g} is not a density operator "
+                        f"({type(exc).__name__}: {exc}); reduce the step"
+                    ) from exc
             recorded = [
-                i for i in range(stop) if first + i == n_steps or (first + i) % record_every == 0
+                i for i in range(count) if first + i == n_steps or (first + i) % record_every == 0
             ]
             states = hermitian_part(v @ ys[recorded] @ vh)
             for i, entries in zip(recorded, states):
-                trace, mean = sum(diagonals[i]), sum(map(mul, values, diagonals[i]))
-                try:
-                    state = _measured_density(entries, trace, float(lows[i]))
-                except InputValidationError as exc:
-                    raise PositivityLoss(
-                        f"state at lambda {lams[i]:.6g} is not a density operator "
-                        f"({type(exc).__name__}: {exc}); reduce the step"
-                    ) from exc
+                mean = sum(map(mul, values, diagonals[i]))
+                state = _computed(entries, DensityOperator)
                 samples.append(FlowSample(float(lams[i]), state, mean))
-            if stop < infinite:
-                low, lam = float(lows[stop]), lams[stop]
-                raise PositivityLoss(f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step")
-            if infinite < count:
-                lam = lams[infinite]
-                raise PositivityLoss(f"state at lambda {lam:.6g} is not finite; reduce the step")
             chain[0] = ys[-1]
     return FlowTrajectory(observable=observable, samples=tuple(samples), step=step)
 

@@ -428,18 +428,21 @@ def dual_objective(multipliers, constraints: ConstraintSet):
 def _newton_direction(
     hessian, gradient: np.ndarray, precond: np.ndarray, tol: float
 ) -> np.ndarray:
-    """H d = -g by at most m conjugate-gradient steps from d = 0, preconditioned with P.
+    """H d = -g by at most 4m conjugate-gradient steps from d = 0, preconditioned with P.
 
     Stops when ||r||_P <= eta ||g||_P, eta = min(0.5, ||g||_P) (Eisenstat-Walker, in the
     P-norm so the stop ignores how observables are scaled), once the linearized
     gradient g + H d = -r is within the solver's tolerance (max|r| <= tol / 10),
-    or at non-positive curvature with the last iterate, or -P g if there is none.
+    or at non-positive curvature with the last iterate, or -P g if there is none.  m steps
+    suffice only in exact arithmetic: near a pure state H is ill-conditioned, rounding
+    costs CG its conjugacy, and an m-step direction can leave its residual far above the
+    stop, which the line search then shortens again and again.
     """
     r, d = -gradient, np.zeros_like(gradient)  # residual, direction
     s = z = precond @ r  # search direction, preconditioned residual
     rz = float(r @ z)
     stop = min(0.25, rz) * rz  # eta^2 ||g||_P^2
-    for k in range(r.size):
+    for k in range(4 * r.size):
         hs = hessian(s)
         curvature = float(s @ hs)
         if not curvature > 0.0:

@@ -57,6 +57,12 @@ class TestRelativeEntropy:
         rho = make_density(np.diag([0.8, 0.2]))
         assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("tiny", [1e-13, 5e-13])
+    def test_identical_arguments_with_a_tiny_eigenvalue(self, tiny):
+        # the entropy sum keeps every p > 0: dropping p <= 1e-12 read -2.99e-12 and -1.42e-11
+        rho = make_density(np.diag([1.0 - tiny, tiny]))
+        assert relative_entropy(rho, rho) == 0.0
+
     def test_against_uniform_prior(self):
         rho = make_density(np.diag([0.8, 0.2]))
         expected = von_neumann_entropy(rho) - np.log(2.0)
@@ -123,10 +129,9 @@ class TestSupportRule:
 
     def test_updates_of_rank_deficient_priors_random(self, rng):
         # commuting priors with eigenvalues 0, 1e-13 and 1e-11: every update has a finite
-        # divergence from its prior, the classical one of the diagonals.  Each state
-        # eigenvalue at or below LOG_EIGENVALUE_FLOOR that the entropy sum drops is worth at
-        # most 1e-12 log(1e12) = 2.8e-11, so 8 of them bound the error by 2.3e-10; the
-        # largest error seen is 2.1e-11
+        # divergence from its prior, the classical one of the diagonals.  The entropy sum
+        # keeps the state's tiny eigenvalues, so the two agree to rounding: the largest
+        # error seen over 2400 updates is 7.1e-15 (dropping p <= 1e-12 gave up to 4.2e-11)
         for _ in range(60):
             n = int(rng.integers(4, 9))
             d = np.concatenate([[0.0, 1e-13, 1e-11], rng.random(n - 3)])
@@ -140,7 +145,7 @@ class TestSupportRule:
             for route in (solve_prior_tilt, flow_to_constraint):
                 _, state = route(prior, observable, target)
                 expected = _classical_relative_entropy(np.diag(state.entries).real, d)
-                assert abs(relative_entropy(state, prior) - expected) <= 2.3e-10
+                assert abs(relative_entropy(state, prior) - expected) <= 1e-13
 
     def test_weight_off_the_support_is_refused(self):
         # a 1e-13 weight on the prior's kernel gave +1.0e-13, of the wrong sign

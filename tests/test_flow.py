@@ -164,17 +164,19 @@ class TestIntegrateFlow:
             integrate_flow(nearly_pure, strong, 4.0, step=1.0)
 
     def test_invalid_recorded_state_is_positivity_loss(self):
-        # every step passes the -1e-8 check, but the state recorded at 0.1
-        # has an eigenvalue near -4e-9, below DensityOperator's -1e-10
+        # the iterate at 0.1 has an eigenvalue near -3.8e-9, below DensityOperator's -1e-10;
+        # the density rule refuses it whether it is recorded (every step to 1.0) or not
+        # (every third step to 200.1)
         psi = np.array([np.cos(0.286), np.sin(0.286)])
-        half_z = make_hermitian(0.5 * SIGMA_Z)
-        with pytest.raises(PositivityLoss, match="NotPositive"):
-            integrate_flow(make_density(np.outer(psi, psi)), half_z, 1.0, step=0.1)
+        start, half_z = make_density(np.outer(psi, psi)), make_hermitian(0.5 * SIGMA_Z)
+        for lambda_end in (1.0, 200.1):
+            with pytest.raises(PositivityLoss, match=r"lambda 0\.1 is .* \(NotPositive: "):
+                integrate_flow(start, half_z, lambda_end, step=0.1)
 
     def test_one_certificate_per_block(self, eig_calls, monkeypatch):
         # one eigh of A sets up the eigenbasis; one batched Cholesky factorization certifies
-        # each block's iterates, both their positivity checks and the recorded states' density
-        # rule, so this flow takes no spectrum at all
+        # the density rule's positivity check for each block's iterates, so this flow takes
+        # no spectrum at all
         counted, factored = np.linalg.cholesky, []
 
         def cholesky(m):
@@ -317,9 +319,9 @@ def factor_steps(start, observable, lambda_end, step):
 def per_step_flow(start, observable, lambda_end, step):
     """integrate_flow with each step checked on its own: (sample, failure) per step.
 
-    The steps of ``factor_steps``, then the checks in their order: not finite, an
-    eigenvalue below -1e-8, and at a recorded step the density rule on the trace and mean
-    of y's diagonal, summed in index order.  A sample is (lam, mean, state); a failure is
+    The steps of ``factor_steps``, then the checks in their order: not finite, then the
+    density rule on every step's trace, y's diagonal summed in index order, and smallest
+    eigenvalue.  A recorded step's sample is (lam, mean, state); a failure is
     integrate_flow's message.  Stepping goes on past a failure, so a test can see the later
     ones too.
     """
@@ -331,18 +333,18 @@ def per_step_flow(start, observable, lambda_end, step):
         sample = failure = None
         if not np.isfinite(y).all():
             failure = f"state at lambda {lam:.6g} is not finite; reduce the step"
-        elif (low := float(np.linalg.eigvalsh(y)[0])) < -1e-8:
-            failure = f"eigenvalue {low:.3e} at lambda {lam:.6g}; reduce the step"
-        elif k == n_steps or k % every == 0:
-            trace, mean = sum(diagonal), sum((a * diagonal).tolist())
+        else:
+            low = float(np.linalg.eigvalsh(y)[0])
             try:
-                state = _measured_density(hermitian_part(v @ y @ v.conj().T), trace, low)
-                sample = (lam, mean, state)
+                state = _measured_density(hermitian_part(v @ y @ v.conj().T), sum(diagonal), low)
             except InputValidationError as exc:
                 failure = (
                     f"state at lambda {lam:.6g} is not a density operator "
                     f"({type(exc).__name__}: {exc}); reduce the step"
                 )
+            else:
+                if k == n_steps or k % every == 0:
+                    sample = (lam, sum((a * diagonal).tolist()), state)
         steps.append((sample, failure))
     return steps
 
@@ -390,10 +392,11 @@ class TestBlocks:
     @pytest.mark.parametrize(
         "weights, values, step",
         [
-            # an eigenvalue below -1e-8 at step 22, a non-finite iterate at step 26
+            # an eigenvalue below -1e-10 at step 22, a trace off by more than 1e-10 at step 24,
+            # a non-finite iterate at step 26
             ([0.5, 0.5], [1.0, -1.0], 2.08),
-            # a recorded trace off by more than 1e-10 at step 5, an eigenvalue below -1e-8 at
-            # step 7: the trace's rounding grows while the mean sits at the top of the spectrum
+            # a trace off by more than 1e-10 at step 5, a non-finite iterate at step 10: the
+            # trace's rounding grows while the mean sits at the top of the spectrum
             ([3e-12, 0.999999999997], [-0.6, -0.03], 10.89),
         ],
     )
@@ -401,7 +404,7 @@ class TestBlocks:
         start, a = make_density(np.diag(weights)), make_hermitian(np.diag(values))
         steps = per_step_flow(start, a, 128 * step, step)
         checks = {
-            k: next(c for c in ("not finite", "eigenvalue", "density") if c in failure)
+            k: next(c for c in ("not finite", "NotPositive", "TraceNotOne") if c in failure)
             for k, (_, failure) in enumerate(steps)
             if failure
         }

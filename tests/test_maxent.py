@@ -67,6 +67,26 @@ def hessian_matrix(cs, lam):
     return np.array([product(e) for e in np.eye(cs.m)]).T
 
 
+def near_pure_instance(seed, delta):
+    """The instance at ``delta`` of ``default_rng(seed)``'s ladder delta = 1e-2, 1e-4, ...:
+    n in 2..6 and m < n^2 complex-normal observables, targets of (1 - delta)|psi><psi| + delta
+    I/n, each rung drawn in turn."""
+    rng = np.random.default_rng(seed)
+    for rung in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, n * n))
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        sigma = (1.0 - rung) * np.outer(psi, psi.conj()) + rung * np.eye(n) / n
+        observables = []
+        for _ in range(m):
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            observables.append(make_hermitian((g + g.conj().T) / 2.0))
+        if rung == delta:
+            state = make_density(sigma)
+            return ConstraintSet(observables, [expectation(state, a) for a in observables])
+
+
 def range_verdict(observables, targets):
     """The spectral-range rule of ConstraintSet on every observable's full spectrum."""
     boundary = None
@@ -674,6 +694,30 @@ class TestSolveMaxEnt:
         monkeypatch.setattr(qmaxent.maxent, "_newton_direction", lambda h, g, p, tol: 1e30 * g)
         with pytest.raises(MaxIterExceeded, match="line search stalled before reaching"):
             solve_maxent(constraints)
+
+    @pytest.mark.parametrize(
+        "seed, delta, n, m",
+        [
+            (1, 1e-6, 6, 16),
+            (7, 1e-12, 5, 12),
+            (9, 1e-8, 6, 19),
+            (30, 1e-4, 5, 10),
+            (46, 1e-6, 5, 14),
+            (64, 1e-10, 4, 11),
+            (67, 1e-8, 5, 12),
+            (79, 1e-8, 6, 19),
+            (85, 1e-6, 5, 17),
+        ],
+    )
+    def test_near_pure_targets_converge(self, seed, delta, n, m):
+        # near purity the Hessian is ill-conditioned and rounding costs CG its conjugacy: m
+        # CG steps left directions that the line search shortened until MaxIterExceeded
+        constraints = near_pure_instance(seed, delta)
+        assert (constraints.dim, len(constraints.observables)) == (n, m)
+        sol = solve_maxent(constraints)
+        assert sol.residual <= 1e-10 and sol.iterations <= 30
+        means = [expectation(sol.estimate, a) for a in constraints.observables]
+        assert np.abs(np.array(means) - constraints.targets).max() <= 2e-10
 
     def test_iterations_at_moderate_scale(self, rng):
         # from the identity, BFGS needs 29 or more iterations on these sizes
