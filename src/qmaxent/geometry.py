@@ -22,7 +22,8 @@ classical term and a rotation term:
            + 2 dtheta^2 sum_{j != k} (p_j - p_k)^2 / (p_j + p_k) |h_jk|^2,
 
 the Braunstein-Caves distinguishability metric.  Every routine here evaluates past
-double range without a warning, and one whose result is not finite raises Overflow.
+double range without a warning, and one whose result is not finite raises Overflow
+(``operators._finite``).
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotTraceless, Overflow, SingularBase
+from .errors import DimMismatch, NotTraceless, SingularBase
 from .operators import (
     DensityOperator,
     HermitianOperator,
     _common_dim,
-    _computed,
+    _finite,
     _in_basis,
     _instance,
+    _operator,
     _pairing,
     _reals,
     eig_hermitian,
     expectation,
-    hermitian_part,
 )
 
 __all__ = [
@@ -85,19 +86,6 @@ class TangentDecomposition:
         dp.setflags(write=False)
         object.__setattr__(self, "dp", dp)
         object.__setattr__(self, "dtheta", float(_reals(self.dtheta, "dtheta", NotTraceless, ())))
-
-
-def _finite(value, what: str):
-    """``value``, a number or an array, once every entry is finite; else Overflow."""
-    if not np.isfinite(value).all():
-        raise Overflow(f"{what} is not finite in double precision")
-    return value
-
-
-def _operator(matrix: np.ndarray, what: str) -> HermitianOperator:
-    """The Hermitian operator of ``matrix``, which its caller computes under np.errstate,
-    once every entry is finite; else Overflow."""
-    return _computed(hermitian_part(_finite(matrix, what)), HermitianOperator)
 
 
 def _lowering_kernel(state: DensityOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

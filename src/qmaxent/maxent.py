@@ -79,7 +79,6 @@ from .errors import (
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
-    Overflow,
 )
 from .operators import (
     DensityOperator,
@@ -89,6 +88,7 @@ from .operators import (
     _density_rule,
     _eigh,
     _eigvalsh,
+    _finite,
     _in_basis,
     _instance,
     _measured_density,
@@ -348,11 +348,8 @@ def _evaluated(multipliers, coords: np.ndarray, targets: np.ndarray | None = Non
         raise DimMismatch(f"{lam.size} multipliers but {len(coords)} observables")
     with np.errstate(over="ignore", invalid="ignore"):
         point = _dual_point(lam, coords, np.zeros(lam.size) if targets is None else targets)
-    if np.isfinite(point[0]):
-        return point
-    if targets is None:
-        raise Overflow("sum_k lam_k A_k is not finite in double precision")
-    raise Overflow(f"dual value {point[0]!r} is not finite in double precision")
+    _finite(point[0], "sum_k lam_k A_k" if targets is None else f"dual value {point[0]!r}")
+    return point
 
 
 def _canonical(multipliers, observables):
@@ -368,9 +365,7 @@ def partition_function(multipliers, observables) -> float:
     log_z = _canonical(multipliers, observables)[3]
     with np.errstate(over="ignore"):
         z = float(np.exp(log_z))
-    if not np.isfinite(z):
-        raise Overflow(f"Z = exp({log_z:.6g}) is not finite in double precision")
-    return z
+    return _finite(z, f"Z = exp({log_z:.6g})")
 
 
 def gibbs_state(multipliers, observables) -> DensityOperator:

@@ -6,10 +6,12 @@ as outside input by their constructors and wrapped as computed results by ``_com
 eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
 expectation values, a couple of norms and ``_reals``, the one judge of caller numbers.
 It also hosts the symmetric tilt and the set-up both prior updates share (``_tilt``,
-``_tilt_support``), with the support floor ``SUPPORT_FLOOR`` that ``relative_entropy`` applies too.
+``_tilt_support``), with the support floor ``SUPPORT_FLOOR`` that ``relative_entropy`` applies too
+and that bounds the logarithm's domain.
 
 Exponents are shifted, never refused in advance: Overflow means that a
-returned value would not be finite.
+returned value would not be finite, and ``_finite`` (``_operator`` for a matrix) is the
+one judge that raises it.
 
 All functions are pure and all values are immutable, so they can be
 shared freely across threads.
@@ -39,7 +41,6 @@ __all__ = [
     "HERMITICITY_TOL",
     "TRACE_TOL",
     "POSITIVITY_TOL",
-    "LOG_EIGENVALUE_FLOOR",
     "HermitianOperator",
     "DensityOperator",
     "hermitian_part",
@@ -55,13 +56,11 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
-# Spectrum entries at or below this floor count as exact zeros.  Entropy-like
-# sums then use 0*log(0) = 0, while a bare matrix logarithm must refuse.
-LOG_EIGENVALUE_FLOOR = 1e-12
 
 # Weights of a state in an observable's eigenbasis at or below this floor lie
 # outside the state's support: the rule of the tilt routes (``_tilt_support``),
 # ``closed_form_flow`` and ``relative_entropy``, whose prior's eigenvalues are its weights.
+# A logarithm (``apply_spectral_function``) needs every eigenvalue above it.
 SUPPORT_FLOOR = 1e-14
 
 
@@ -169,6 +168,19 @@ def _computed(entries: np.ndarray, cls: type[HermitianOperator]) -> HermitianOpe
     return operator
 
 
+def _finite(value, what: str):
+    """``value``, a number or an array, once every entry is finite; else Overflow."""
+    if not np.isfinite(value).all():
+        raise Overflow(f"{what} is not finite in double precision")
+    return value
+
+
+def _operator(matrix: np.ndarray, what: str) -> HermitianOperator:
+    """The Hermitian operator of ``matrix``, which its caller computes under np.errstate,
+    once every entry is finite; else Overflow."""
+    return _computed(hermitian_part(_finite(matrix, what)), HermitianOperator)
+
+
 def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
     """A DensityOperator of computed ``entries``, judged on their given trace and spectrum."""
     _density_rule(trace, lambda: smallest)
@@ -214,25 +226,21 @@ def eig_hermitian(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
 def apply_spectral_function(operator: HermitianOperator, f: str) -> HermitianOperator:
     """Apply a scalar function to the spectrum: U diag(f(p)) U†.
 
-    ``f`` is a tag, either ``"exp"`` or ``"log"``.  The logarithm requires
-    every eigenvalue to exceed ``LOG_EIGENVALUE_FLOOR``; anything at or
-    below the floor counts as an exact zero, for which a bare logarithm is
-    undefined.  A result with a non-finite entry raises Overflow.
+    ``f`` is a tag, either ``"exp"`` or ``"log"``.  The logarithm requires every eigenvalue
+    to exceed ``SUPPORT_FLOOR``, the support floor above which ``relative_entropy`` takes its
+    logarithms too.  A result with a non-finite entry raises Overflow (``_operator``).
     """
     if not isinstance(f, str) or f not in ("exp", "log"):
         raise InputValidationError(f"unknown spectral function tag {f!r}; expected 'exp' or 'log'")
     w, v = eig_hermitian(operator)
-    if f == "log" and float(w[-1]) <= LOG_EIGENVALUE_FLOOR:
+    if f == "log" and float(w[-1]) <= SUPPORT_FLOOR:
         raise DomainError(
-            f"logarithm requires eigenvalues above {LOG_EIGENVALUE_FLOOR:.0e}, "
+            f"logarithm requires eigenvalues above {SUPPORT_FLOOR:.0e}, "
             f"smallest is {float(w[-1]):.3e}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.exp(w) if f == "exp" else np.log(w)
-        out = hermitian_part((v * values) @ v.conj().T)
-    if not np.isfinite(out).all():
-        raise Overflow(f"{f} of a spectrum up to {w[0]:.6g} is not finite in double precision")
-    return _computed(out, HermitianOperator)
+        out = (v * (np.exp(w) if f == "exp" else np.log(w))) @ v.conj().T
+    return _operator(out, f"{f} of a spectrum up to {w[0]:.6g}")
 
 
 def _weights(start: DensityOperator, v: np.ndarray) -> np.ndarray:
@@ -382,9 +390,7 @@ def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
             parts = c.reshape(-1).view(np.float64)
             scale = int(np.frexp(np.abs(parts).max())[1])
             value = float(np.ldexp(np.linalg.norm(np.ldexp(parts, -scale)), scale))
-    if not np.isfinite(value):
-        raise Overflow("AB - BA or its Frobenius norm is not finite in double precision")
-    return value
+    return _finite(value, "AB - BA or its Frobenius norm")
 
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:

@@ -1,7 +1,7 @@
 """The package runs on numpy alone, holds no unused import and no unread private name,
 keeps its oracles independent of the routes they check, builds each frozen object by one
-constructor, converts caller numbers in one module and leaves the garbage collector to the
-console entry."""
+constructor, converts caller numbers and judges computed values in one module and leaves the
+garbage collector to the console entry."""
 
 from __future__ import annotations
 
@@ -256,6 +256,52 @@ def test_caller_numbers_judged_only_in_operators():
     package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _asarray_calls(sources) == []
+
+
+def _overflow_constructions(sources: dict[str, str]) -> list[str]:
+    """Each ``Overflow`` a module makes, by a call or a bare ``raise Overflow``, named by the
+    module and the module-level definition that makes it.  ``sources`` maps module file names
+    to their text."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    made = node.func
+                elif isinstance(node, ast.Raise):
+                    made = node.exc
+                else:
+                    continue
+                if (isinstance(made, ast.Name) and made.id == "Overflow") or (
+                    isinstance(made, ast.Attribute) and made.attr == "Overflow"
+                ):
+                    found.append(f"{module}: {getattr(top, 'name', 'module level')}")
+    return found
+
+
+def test_overflow_construction_detection():
+    sources = {
+        "operators.py": "def _finite(x):\n    raise Overflow(f'{x} is not finite')\n",
+        "maxent.py": "from . import errors\ndef z(x):\n    if x:\n        raise Overflow\n"
+        "    return errors.Overflow('Z')\nclass S:\n    def m(self):\n        raise Overflow()\n",
+        "flow.py": "try:\n    pass\nexcept Overflow as exc:\n    raise PositivityLoss() from exc\n",
+        "cli.py": "E = Overflow('at import')\n",
+    }
+    assert _overflow_constructions(sources) == [
+        "operators.py: _finite",
+        "maxent.py: z",
+        "maxent.py: z",
+        "maxent.py: S",
+        "cli.py: module level",
+    ]
+
+
+def test_overflow_raised_only_by_the_one_judge():
+    # a result that is not finite is refused by operators._finite (through _operator for a
+    # matrix); _tilt's normalization refusal, which also refuses a trace <= 0, is the other
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _overflow_constructions(sources) == ["operators.py: _finite", "operators.py: _tilt"]
 
 
 def _gc_references(sources: dict[str, str]) -> list[str]:

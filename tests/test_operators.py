@@ -25,13 +25,23 @@ from qmaxent import (
     hermitian_part,
     make_density,
     make_hermitian,
+    partition_function,
+    relative_entropy,
     trace_distance,
+    von_neumann_entropy,
 )
 
 from qmaxent.maxent import _coordinates, _dual, _unpack
 from qmaxent.operators import _pairing
 
-from helpers import SIGMA_X, SIGMA_Z, rand_density, rand_hermitian, rand_spectrum_hermitian
+from helpers import (
+    SIGMA_X,
+    SIGMA_Z,
+    rand_density,
+    rand_hermitian,
+    rand_spectrum_hermitian,
+    rand_unitary,
+)
 
 
 class TestMakeHermitian:
@@ -216,6 +226,26 @@ class TestSpectralFunctions:
         with pytest.raises(DomainError):
             apply_spectral_function(make_hermitian(np.diag([1.0, 0.0])), "log")
 
+    def test_log_domain_is_the_support_floor(self, rng):
+        # relative_entropy takes its logarithms above SUPPORT_FLOOR (1e-14), and so does the
+        # matrix logarithm: tr(sigma log rho) = S(sigma || rho) - S(sigma) on the same spectrum
+        rho = make_density(np.diag([1.0 - 1e-13, 1e-13]))
+        log_rho = apply_spectral_function(rho, "log")
+        assert log_rho.entries[1, 1] == np.log(1e-13)
+        u = rand_unitary(rng, 3)
+        rotated = make_density((u * [0.6, 0.4 - 1e-13, 1e-13]) @ u.conj().T)
+        pairs = [
+            (make_density(np.eye(2) / 2), rho),
+            (rand_density(rng, 2, min_eig=0.05), rho),
+            (rand_density(rng, 3, min_eig=0.05), rotated),
+        ]
+        for sigma, prior in pairs:
+            paired = expectation(sigma, apply_spectral_function(prior, "log"))
+            direct = relative_entropy(sigma, prior) - von_neumann_entropy(sigma)
+            assert paired == pytest.approx(direct, rel=1e-14)
+        with pytest.raises(DomainError, match="above 1e-14, smallest is 1.000e-15"):
+            apply_spectral_function(make_hermitian(np.diag([1.0 - 1e-15, 1e-15])), "log")
+
     def test_unknown_tag(self):
         with pytest.raises(InputValidationError, match="unknown spectral function tag 'sqrt'"):
             apply_spectral_function(make_hermitian(SIGMA_Z), "sqrt")
@@ -319,6 +349,34 @@ class TestCommutatorNorm:
     def test_self_commutation(self):
         sx = make_hermitian(SIGMA_X)
         assert commutator_norm(sx, sx) == 0.0
+
+
+@pytest.mark.parametrize(
+    "routine, message",
+    [
+        (
+            lambda: apply_spectral_function(make_hermitian(np.diag([710.0, 0.0])), "exp"),
+            "exp of a spectrum up to 710 is not finite in double precision",
+        ),
+        (
+            lambda: commutator_norm(
+                make_hermitian(np.array([[0.0, 1e200], [1e200, 0.0]])),
+                make_hermitian(np.diag([1e200, -1e200])),
+            ),
+            "AB - BA or its Frobenius norm is not finite in double precision",
+        ),
+        (
+            lambda: partition_function([-800.0], [make_hermitian(np.diag([1.0, -1.0]))]),
+            "Z = exp(800) is not finite in double precision",
+        ),
+    ],
+    ids=["apply_spectral_function", "commutator_norm", "partition_function"],
+)
+def test_overflow_messages(routine, message):
+    # each is raised by operators._finite, the one judge of a computed value
+    with pytest.raises(Overflow) as info:
+        routine()
+    assert str(info.value) == message
 
 
 class TestDensitySpectrum:
