@@ -35,7 +35,7 @@ def _entropy_of_spectrum(p: np.ndarray) -> float:
 
 def von_neumann_entropy(state: DensityOperator) -> float:
     """-tr(rho log rho) in nats; 0 for pure states, log(dim) for the uniform state."""
-    _common_dim(state)
+    _common_dim(state, states=1)
     return _entropy_of_spectrum(_eigvalsh(state.entries))
 
 
@@ -46,7 +46,7 @@ def relative_entropy(state: DensityOperator, prior: DensityOperator) -> float:
     support, by the prior updates' rule (``_tilt_support``); a weight of ``state`` above the
     floor on any one of them (the value would be -infinity) raises SupportViolation.
     """
-    _common_dim(state, prior)
+    _common_dim(state, prior, states=2)
     q, v = _eigh(prior.entries)
     overlaps = _weights(state, v)
     kernel = q <= SUPPORT_FLOOR

@@ -184,7 +184,7 @@ def integrate_flow(
     verdict does not depend on which steps are recorded.  About every
     ceil(n_steps/1000)-th step is recorded, plus the endpoint, with mean sum_i a_i y_ii.
     """
-    _common_dim(start, observable)
+    _common_dim(start, observable, states=1)
     step = float(_reals(step, "step", StepInvalid, ()))
     if not step > 0.0:
         raise StepInvalid(f"step must be positive, got {step!r}")
@@ -261,7 +261,7 @@ def closed_form_flow(
     lam = 0 returns ``start`` unchanged.  The kernel shifts the exponent over
     the support of rho0, so only a state that is not representable raises Overflow.
     """
-    _common_dim(start, observable)
+    _common_dim(start, observable, states=1)
     lam = float(_reals(lam, "lam", shape=()))
     if lam == 0.0:
         return start

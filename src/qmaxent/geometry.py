@@ -110,7 +110,7 @@ def raise_form(state: DensityOperator, form: HermitianOperator) -> HermitianOper
     The kernel map with K_jk = (p_j + p_k)/2, written basis-free (no eigh); the result
     is Hermitian but generally not traceless: only zero-mean forms raise to tangent vectors.
     """
-    _common_dim(state, form)
+    _common_dim(state, form, states=1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = (state.entries @ form.entries + form.entries @ state.entries) / 2.0
     return _operator(out, "R_rho(B)")
@@ -123,7 +123,7 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
     rank-deficient state makes the division ill-posed and raises
     SingularBase.
     """
-    _common_dim(state, vector)
+    _common_dim(state, vector, states=1)
     _, v, kernel = _lowering_kernel(state)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _in_basis(vector.entries, v, kernel)
@@ -132,7 +132,7 @@ def lower_vector(state: DensityOperator, vector: HermitianOperator) -> Hermitian
 
 def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOperator) -> float:
     """g_rho(A, B) = <(AB + BA)/2> = tr[A R_rho(B)]: symmetric and bilinear in both slots."""
-    _common_dim(state, a, b)
+    _common_dim(state, a, b, states=1)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _pairing(a.entries, raise_form(state, b).entries)
     return _finite(value, "g_rho(A, B)")
@@ -140,7 +140,7 @@ def metric_forms(state: DensityOperator, a: HermitianOperator, b: HermitianOpera
 
 def metric_vectors(state: DensityOperator, v: HermitianOperator, w: HermitianOperator) -> float:
     """g_rho(V, W) = tr[W L_rho(V)]: the metric pulled to vector components."""
-    _common_dim(state, v, w)
+    _common_dim(state, v, w, states=1)
     with np.errstate(over="ignore", invalid="ignore"):
         value = _pairing(w.entries, lower_vector(state, v).entries)
     return _finite(value, "g_rho(V, W)")
@@ -153,7 +153,7 @@ def line_element(state: DensityOperator, d: TangentDecomposition) -> float:
     metric_vectors on the assembled direction.  Its diagonal is the classical term, the rest
     the rotation term, whose T_jk vanish inside degenerate eigenvalue blocks.
     """
-    _common_dim(state, _instance(d, TangentDecomposition, "d").h)
+    _common_dim(state, _instance(d, TangentDecomposition, "d").h, states=1)
     p, _, kernel = _lowering_kernel(state)
     with np.errstate(over="ignore", invalid="ignore"):
         value = float((np.abs(_tangent_in_basis(p, d)) ** 2 * kernel).sum())
@@ -166,7 +166,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
     Combines the diagonal eigenvalue shifts with the first-order effect of
     the infinitesimal rotation exp(i dtheta h) on the eigenbasis.
     """
-    _common_dim(state, _instance(d, TangentDecomposition, "d").h)
+    _common_dim(state, _instance(d, TangentDecomposition, "d").h, states=1)
     p, v = eig_hermitian(state)
     with np.errstate(over="ignore", invalid="ignore"):
         out = v @ _tangent_in_basis(p, d) @ v.conj().T
@@ -175,7 +175,7 @@ def assemble_tangent(state: DensityOperator, d: TangentDecomposition) -> Hermiti
 
 def zero_mean_form(state: DensityOperator, observable: HermitianOperator) -> HermitianOperator:
     """The observable recentered to zero mean: A - <A> 1."""
-    _common_dim(state, observable)
+    _common_dim(state, observable, states=1)
     with np.errstate(over="ignore", invalid="ignore"):
         out = observable.entries - expectation(state, observable) * np.eye(state.dim)
     return _operator(out, "A - <A> 1")

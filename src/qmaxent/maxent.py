@@ -96,7 +96,6 @@ from .operators import (
     _reals,
     _tilt,
     _tilt_support,
-    hermitian_part,
 )
 from .entropy import _entropy_of_spectrum
 
@@ -371,8 +370,7 @@ def partition_function(multipliers, observables) -> float:
 def gibbs_state(multipliers, observables) -> DensityOperator:
     """exp(-sum_k lam_k A_k) / Z, its exponent shifted; only an overflowing spectrum raises."""
     _, _, state, _, (_, _, p) = _canonical(multipliers, observables)
-    entries = hermitian_part(state)  # certified by its spectrum p >= 0, as solve_maxent's is
-    return _measured_density(entries, float(np.trace(entries).real), float(p.min()))
+    return _measured_density(state, p)  # certified by its spectrum p >= 0, as solve_maxent's is
 
 
 def _dual_point(lam: np.ndarray, coords: np.ndarray, targets: np.ndarray):
@@ -529,14 +527,14 @@ def _newton(
         iterations += 1
         residual = float(abs(gradient).max(initial=0.0))
 
-    achieved, entries = targets - gradient, hermitian_part(state)
+    achieved = targets - gradient
     lam.setflags(write=False)
     achieved.setflags(write=False)
     return MaxEntSolution(
         multipliers=lam,
         lambda0=log_z,
         # positive by construction: V diag(p) V^dag is within O(n eps) of its spectrum p >= 0
-        estimate=_measured_density(entries, float(np.trace(entries).real), float(eig[2].min())),
+        estimate=_measured_density(state, eig[2]),
         achieved=achieved,
         s_max=_entropy_of_spectrum(eig[2]),
         iterations=iterations,

@@ -1,10 +1,11 @@
 """Dense Hermitian operator algebra.
 
-Everything in this package works on small dense complex matrices held in
-one fixed computational basis.  This module provides the two value types, judged
-as outside input by their constructors and wrapped as computed results by ``_computed``,
-eigendecomposition with a deterministic phase convention, spectral functions (exp, log),
-expectation values, a couple of norms and ``_reals``, the one judge of caller numbers.
+Everything in this package works on small dense complex matrices held in one fixed
+computational basis.  This module provides the two value types, judged as outside input by
+their constructors (which ``make_hermitian`` and ``make_density`` name) and wrapped as computed
+results by ``_computed``; ``_common_dim``, the one operand judge, which gives a state slot only
+a DensityOperator; eigendecomposition with a deterministic phase convention, spectral
+functions (exp, log), expectations, two norms and ``_reals``, the one judge of caller numbers.
 It also hosts the symmetric tilt and the set-up both prior updates share (``_tilt``,
 ``_tilt_support``), with the support floor ``SUPPORT_FLOOR`` that ``relative_entropy`` applies too
 and that bounds the logarithm's domain.
@@ -181,9 +182,10 @@ def _operator(matrix: np.ndarray, what: str) -> HermitianOperator:
     return _computed(hermitian_part(_finite(matrix, what)), HermitianOperator)
 
 
-def _measured_density(entries: np.ndarray, trace: float, smallest: float) -> DensityOperator:
-    """A DensityOperator of computed ``entries``, judged on their given trace and spectrum."""
-    _density_rule(trace, lambda: smallest)
+def _measured_density(state: np.ndarray, p: np.ndarray) -> DensityOperator:
+    """A DensityOperator of computed ``state``'s Hermitian part, judged on its trace and min(p)."""
+    entries = hermitian_part(state)
+    _density_rule(float(np.trace(entries).real), lambda: float(p.min()))
     return _computed(entries, DensityOperator)
 
 
@@ -193,14 +195,7 @@ def _density(entries: np.ndarray) -> DensityOperator:
     return _computed(entries, DensityOperator)
 
 
-def make_hermitian(raw) -> HermitianOperator:
-    """Validate a raw complex square matrix as a Hermitian operator."""
-    return HermitianOperator(np.asarray(raw))
-
-
-def make_density(raw) -> DensityOperator:
-    """Validate a raw complex square matrix as a density operator."""
-    return DensityOperator(np.asarray(raw))
+make_hermitian, make_density = HermitianOperator, DensityOperator  # each takes any array-like
 
 
 def eig_hermitian(operator: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +278,7 @@ def _tilt_support(
     a target outside it, or an A constant on the support, raises Infeasible.  ``role`` names
     the state in error messages.
     """
-    _common_dim(start, observable)
+    _common_dim(start, observable, states=1)
     target = float(_reals(target, "target", shape=()))
     if abs(expectation(start, observable) - target) <= tol:
         return None
@@ -320,10 +315,16 @@ def _operands(observables) -> tuple:
         raise InputValidationError(f"observables must be a sequence of operators: {exc}") from exc
 
 
-def _common_dim(*operators, dim: int | None = None) -> int:
-    """The one dimension of ``operators``, each a HermitianOperator, and of ``dim`` if given."""
-    if not all(isinstance(op, HermitianOperator) for op in operators):
-        raise InputValidationError("operands must be HermitianOperators or DensityOperators")
+def _common_dim(*operators, dim: int | None = None, states: int = 0) -> int:
+    """The one dimension of ``operators``, and of ``dim`` if given: the package's operand judge.
+
+    The first ``states``, the state slots, must be DensityOperators, the rest HermitianOperators;
+    another kind raises InputValidationError naming it, unequal dimensions DimMismatch."""
+    for k, op in enumerate(operators):
+        if not isinstance(op, kind := DensityOperator if k < states else HermitianOperator):
+            raise InputValidationError(
+                f"operand {k + 1} must be a {kind.__name__}, got {type(op).__name__}"
+            )
     dims = [op.dim for op in operators] if dim is None else [dim, *(op.dim for op in operators)]
     if dims.count(dims[0]) != len(dims):
         raise DimMismatch(f"operand dimensions differ: {', '.join(map(str, dims))}")
@@ -372,7 +373,7 @@ def _pairing(x: np.ndarray, y: np.ndarray) -> float:
 
 def expectation(state: DensityOperator, observable: HermitianOperator) -> float:
     """tr(rho A), real by construction."""
-    _common_dim(state, observable)
+    _common_dim(state, observable, states=1)
     return _pairing(state.entries, observable.entries)
 
 
@@ -395,6 +396,6 @@ def commutator_norm(a: HermitianOperator, b: HermitianOperator) -> float:
 
 def trace_distance(a: DensityOperator, b: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of the difference."""
-    _common_dim(a, b)
+    _common_dim(a, b, states=2)
     w = _eigvalsh(a.entries - b.entries)
     return 0.5 * float(np.abs(w).sum())

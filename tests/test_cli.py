@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qmaxent.cli
 from qmaxent import closed_form_flow, expectation, make_hermitian, metric_forms
 from qmaxent.cli import run
 from qmaxent.documents import operator_to_document
@@ -73,6 +74,17 @@ class TestEstimate:
         message = json.loads(err)
         assert message["error"] == "InputValidationError"
         assert "prior" in message["message"]
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        # the last resort: an exception outside the package's errors still exits 2 with one
+        # JSON line on stderr and nothing on stdout
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(qmaxent.cli, "solve_maxent", fail)
+        code, out, err = run_captured(capsys, ["estimate", "--problem", fixture("qubit_xz.json")])
+        assert (code, out) == (2, "")
+        assert err == '{"error": "InternalError", "message": "RuntimeError: boom"}\n'
 
 
 class TestLauncher:

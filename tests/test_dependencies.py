@@ -1,7 +1,7 @@
 """The package runs on numpy alone, holds no unused import and no unread private name,
 keeps its oracles independent of the routes they check, builds each frozen object by one
-constructor, converts caller numbers and judges computed values in one module and leaves the
-garbage collector to the console entry."""
+constructor, converts caller numbers and judges computed values in one module, judges operand
+kinds in one function and leaves the garbage collector to the console entry."""
 
 from __future__ import annotations
 
@@ -302,6 +302,54 @@ def test_overflow_raised_only_by_the_one_judge():
     package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _overflow_constructions(sources) == ["operators.py: _finite", "operators.py: _tilt"]
+
+
+def _density_kind_checks(sources: dict[str, str]) -> list[str]:
+    """Each ``isinstance`` call whose class argument names ``DensityOperator``, alone, in a
+    tuple or in any expression, named by the module and the module-level definition that
+    makes it.  ``sources`` maps module file names to their text."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and len(node.args) == 2
+                    and any(
+                        (isinstance(n, ast.Name) and n.id == "DensityOperator")
+                        or (isinstance(n, ast.Attribute) and n.attr == "DensityOperator")
+                        for n in ast.walk(node.args[1])
+                    )
+                ):
+                    found.append(f"{module}: {getattr(top, 'name', 'module level')}")
+    return found
+
+
+def test_density_kind_check_detection():
+    sources = {
+        "operators.py": "def _common_dim(*ops, states=0):\n"
+        "    for k, op in enumerate(ops):\n"
+        "        isinstance(op, kind := DensityOperator if k < states else HermitianOperator)\n"
+        "def expectation(state):\n    return isinstance(state, HermitianOperator)\n",
+        "flow.py": "from . import operators\nclass F:\n    def m(self, s):\n"
+        "        return isinstance(s, operators.DensityOperator)\n"
+        "ok = isinstance(x, (int, DensityOperator))\n",
+    }
+    assert _density_kind_checks(sources) == [
+        "operators.py: _common_dim",
+        "flow.py: F",
+        "flow.py: module level",
+    ]
+
+
+def test_operand_kinds_judged_only_by_common_dim():
+    # a state slot is refused a HermitianOperator that is not a DensityOperator by
+    # operators._common_dim alone, so no call site keeps a kind rule of its own
+    package = Path(__file__).resolve().parent.parent / "src" / "qmaxent"
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _density_kind_checks(sources) == ["operators.py: _common_dim"]
 
 
 def _gc_references(sources: dict[str, str]) -> list[str]:

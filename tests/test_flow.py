@@ -8,6 +8,7 @@ import pytest
 import qmaxent.flow
 import qmaxent.operators
 from qmaxent import (
+    DensityOperator,
     Infeasible,
     InputValidationError,
     MaxIterExceeded,
@@ -28,7 +29,7 @@ from qmaxent import (
     zero_mean_form,
 )
 from qmaxent.flow import FLOW_BLOCK, _diagonal_step, _factor, _smallest_eigenvalues
-from qmaxent.operators import POSITIVITY_TOL, _measured_density, _pairing
+from qmaxent.operators import POSITIVITY_TOL, _computed, _density_rule, _pairing
 
 from helpers import (
     SIGMA_X,
@@ -336,7 +337,7 @@ def per_step_flow(start, observable, lambda_end, step):
         else:
             low = float(np.linalg.eigvalsh(y)[0])
             try:
-                state = _measured_density(hermitian_part(v @ y @ v.conj().T), sum(diagonal), low)
+                _density_rule(sum(diagonal), lambda: low)
             except InputValidationError as exc:
                 failure = (
                     f"state at lambda {lam:.6g} is not a density operator "
@@ -344,6 +345,7 @@ def per_step_flow(start, observable, lambda_end, step):
                 )
             else:
                 if k == n_steps or k % every == 0:
+                    state = _computed(hermitian_part(v @ y @ v.conj().T), DensityOperator)
                     sample = (lam, sum((a * diagonal).tolist()), state)
         steps.append((sample, failure))
     return steps

@@ -1047,6 +1047,16 @@ class TestClassicalOracle:
         p = classical_gibbs_oracle([0.5, 0.5], [[1e17, -1e17]], [3e12], tol=1e5)
         assert abs(p @ [1e17, -1e17] - 3e12) <= 1e5
 
+    def test_overlong_direction_stalls_the_line_search(self, monkeypatch):
+        # every step up to 1e-20 of a direction 1e30 times Newton's overshoots the Armijo bound,
+        # in the oracle and in the prior tilt, which runs the same iteration
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: 1e30 * solve(a, b))
+        with pytest.raises(MaxIterExceeded, match="^line search stalled$"):
+            classical_gibbs_oracle([0.5, 0.5], [[1.0, -1.0]], [0.6])
+        with pytest.raises(MaxIterExceeded, match="^line search stalled$"):
+            solve_prior_tilt(make_density(np.diag([0.7, 0.3])), SX, 0.2)
+
     def test_targets_hit_random(self, rng):
         for _ in range(30):
             n = int(rng.integers(3, 10))

@@ -45,6 +45,11 @@ from helpers import (
 
 
 class TestMakeHermitian:
+    def test_make_functions_are_the_classes(self):
+        # one judged constructor per kind: the functional names bind the classes themselves
+        assert qm.make_hermitian is qm.HermitianOperator
+        assert qm.make_density is qm.DensityOperator
+
     def test_pauli_z_accepted_unchanged(self):
         op = make_hermitian(SIGMA_Z)
         assert np.array_equal(op.entries, SIGMA_Z)

@@ -2,10 +2,14 @@
 ``QuantumMaxEntError``: the library's twin of criterion 12's CLI fuzz corpus.
 
 The table holds each public callable with arguments it accepts; every slot not named in
-``EXEMPT`` is filled in turn with each value of ``PROBES``, the others kept valid.
+``EXEMPT`` is filled in turn with each value of ``PROBES``, the others kept valid.  Every
+parameter typed DensityOperator, a state slot, also refuses a Hermitian operator that is not one.
 """
 
 from __future__ import annotations
+
+import inspect
+import typing
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from qmaxent import (
     ConstraintSet,
     DensityOperator,
     HermitianOperator,
+    InputValidationError,
     QuantumMaxEntError,
     TangentDecomposition,
     make_density,
@@ -133,6 +138,34 @@ def test_malformed_values_raise_typed_errors(name, slot):
         else:
             escapes.append(f"{probe!r}: accepted")
     assert escapes == []
+
+
+def _state_slots():
+    """(name, slot) of every public parameter typed DensityOperator: a position, or a keyword
+    where ``CALLS`` passes one."""
+    for name, (args, _) in sorted(CALLS.items()):
+        callable_ = getattr(qmaxent, name)
+        hints = typing.get_type_hints(callable_)
+        for position, parameter in enumerate(inspect.signature(callable_).parameters):
+            if hints.get(parameter) is DensityOperator:
+                yield name, position if position < len(args) else parameter
+
+
+STATE_SLOTS = list(_state_slots())
+
+
+def test_state_slots_are_found():
+    assert len(STATE_SLOTS) == 18
+    assert ("trace_distance", 1) in STATE_SLOTS and ("solve_prior_tilt", 0) in STATE_SLOTS
+
+
+@pytest.mark.parametrize("name, slot", STATE_SLOTS)
+def test_state_slots_take_only_density_operators(name, slot):
+    # Hermitian operators that are not states: one of trace 1 with a negative eigenvalue, and
+    # one positive of trace 1.2; a state slot refuses either by its kind
+    for operator in (make_hermitian(np.diag([2.0, -1.0])), make_hermitian(np.diag([0.9, 0.3]))):
+        with pytest.raises(InputValidationError, match="DensityOperator, got HermitianOperator"):
+            _call(name, slot, operator)
 
 
 @pytest.mark.parametrize(
